@@ -11,6 +11,16 @@ output is passed through; the last line is the JSON result. --trace 1 also
 writes the spans of one traced repetition as Chrome trace-event JSON to
 <build dir>/spans-<workload>.json.
 
+Host times are scaled to a nominal host speed. The driver times a fixed
+reference job (an LRU cache simulation in serve.cc that uses no library code)
+before the first repetition and after each, and multiplies each repetition's
+host times -- timed phase, ticks, set-ups, span self times -- by 50 ms over
+the geometric mean of the reference times around it. On a shared 4-vCPU VM
+the program's speed drifted by a third over minutes; unscaled, ten 45 s runs
+spread by 0.28-0.47 of their median. A slower program still reads slower in
+full, since the reference does not run its code. The unscaled firings/s and
+the scale of every repetition are printed above the result.
+
 Workloads (the seed sets arrival phases, burst sizes, the churn trace and the
 dag; the default seed is 1):
   churn-swap     5000 logical sessions, 256 open at once, 64 live, swap tier

@@ -9,8 +9,10 @@
 // run call of tick t returns, as every caller in the repository drives the
 // cluster. A repetition is set-up (generate inputs, plan, build the
 // cluster, initial admits) followed by the timed phase (the ticks, then
-// drain_all, report and close). Repetitions run until --seconds is spent,
-// and every repetition of a run must produce identical counters.
+// drain_all, report and close). A warm-up repetition comes first, then
+// repetitions until --seconds is spent, and every repetition of a run must
+// produce identical counters. Host times are scaled to a nominal host speed
+// by a reference job timed between repetitions (see ReferenceJob).
 //
 // Layers are measured from outside only: by timing the driver's own calls
 // into each module (spans, --trace=1) and by reading the counters that
@@ -150,6 +152,106 @@ void write_chrome_trace(const std::string& path, const std::vector<Span>& spans)
   }
   os << "\n]}\n";
 }
+
+// ---------------------------------------------------------------------------
+// Host speed. The benchmark shares a host whose speed for this kind of work
+// drifts by a third over minutes (other jobs' load on the shared caches),
+// and the drift moved every host figure more than any median over
+// repetitions could hide. So a fixed reference job is timed between
+// repetitions, and each repetition's host times are scaled by
+// ReferenceJob::kNominalMs over the geometric mean of the reference times
+// just before and just after it. A change of host speed moves the program
+// and the reference alike and cancels; a change of the program is not seen
+// by the reference and moves the figures in full.
+
+/// LRU cache simulation over 32768 blocks -- open addressing with
+/// backward-shift deletion and a circular recency list -- fed a fixed
+/// pseudo-random stream that misses about one access in five. It is written
+/// here and uses nothing from the library, so no change to the program
+/// changes it, and its hash probes and pointer updates are slowed by a busy
+/// host as the simulator's are (it tracked the driver's firings/s better
+/// than a pointer chase or an arithmetic loop did). Every call starts from
+/// an empty cache and does the same work.
+class ReferenceJob {
+ public:
+  /// One call's time on the host the figures are scaled to: about its
+  /// median on the 4-vCPU Xeon VM the bounds were set on.
+  static constexpr double kNominalMs = 50.0;
+
+  /// Runs the job once; returns its host time in milliseconds.
+  double run_ms() {
+    std::fill(slot_key_.begin(), slot_key_.end(), kNone);
+    next_[kSentinel] = prev_[kSentinel] = kSentinel;
+    std::uint32_t used = 0;
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    const double begin = now_s();
+    for (int i = 0; i < kAccesses; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const auto key = static_cast<std::uint32_t>(x % (kBlocks + kBlocks / 4));
+      std::uint32_t s = home(key);
+      while (slot_key_[s] != kNone && slot_key_[s] != key) s = (s + 1) & kMask;
+      std::uint32_t n = 0;
+      if (slot_key_[s] == key) {
+        n = slot_node_[s];
+        if (n == next_[kSentinel]) continue;  // already the most recent
+        unlink(n);
+      } else if (used < kBlocks) {
+        n = used++;
+        place(s, key, n);
+      } else {
+        n = prev_[kSentinel];  // the least recently used block
+        unlink(n);
+        erase(where_[n]);
+        s = home(key);
+        while (slot_key_[s] != kNone) s = (s + 1) & kMask;
+        place(s, key, n);
+      }
+      prev_[n] = kSentinel;  // becomes the most recent
+      next_[n] = next_[kSentinel];
+      prev_[next_[kSentinel]] = n;
+      next_[kSentinel] = n;
+    }
+    const double ms = 1e3 * (now_s() - begin);
+    sink_ = next_[kSentinel];  // keeps the work observable
+    return ms;
+  }
+
+ private:
+  static constexpr std::uint32_t kBlocks = 32768, kSlots = 65536, kMask = kSlots - 1;
+  static constexpr std::uint32_t kSentinel = kBlocks, kNone = 0xffffffffU;
+  static constexpr int kAccesses = 3'000'000;
+
+  static std::uint32_t home(std::uint32_t key) { return (key * 2654435761U) & kMask; }
+  void place(std::uint32_t s, std::uint32_t key, std::uint32_t n) {
+    slot_key_[s] = key;
+    slot_node_[s] = n;
+    where_[n] = s;
+  }
+  void unlink(std::uint32_t n) {
+    prev_[next_[n]] = prev_[n];
+    next_[prev_[n]] = next_[n];
+  }
+  /// Empties slot `hole`, moving later entries of its probe run back.
+  void erase(std::uint32_t hole) {
+    slot_key_[hole] = kNone;
+    for (std::uint32_t t = (hole + 1) & kMask; slot_key_[t] != kNone; t = (t + 1) & kMask) {
+      if (((t - home(slot_key_[t])) & kMask) >= ((t - hole) & kMask)) {
+        place(hole, slot_key_[t], slot_node_[t]);
+        slot_key_[t] = kNone;
+        hole = t;
+      }
+    }
+  }
+
+  std::vector<std::uint32_t> slot_key_ = std::vector<std::uint32_t>(kSlots);
+  std::vector<std::uint32_t> slot_node_ = std::vector<std::uint32_t>(kSlots);
+  std::vector<std::uint32_t> where_ = std::vector<std::uint32_t>(kBlocks);
+  std::vector<std::uint32_t> prev_ = std::vector<std::uint32_t>(kBlocks + 1);
+  std::vector<std::uint32_t> next_ = std::vector<std::uint32_t>(kBlocks + 1);
+  volatile std::uint32_t sink_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Workloads: what the seed decides, and the fixed serving configuration.
@@ -344,12 +446,16 @@ struct Setup {
 struct Rep {
   double setup_s = 0;
   double timed_s = 0;  // the timed phase: ticks, drain_all, report, close
-  std::vector<double> tick_s;
+  std::vector<double> tick_s;  // released once condensed into the fields below
+  double tick_p50_s = 0, tick_p99_s = 0;
+  std::size_t ticks = 0;
+  bool sums = false;  // aggregate == tenants + retired
   Counts counts;
   std::int64_t llc_misses = 0;  // varies with real thread interleaving
-  core::ClusterReport report;   // taken before any close of the timed phase
+  core::ClusterReport report;   // taken before any close; kept for the first repetition of a kind
   std::vector<Span> spans;
   double timed_begin = 0;  // now_s()
+  double scale = 1;        // host times -> nominal host speed (see ReferenceJob)
 };
 
 /// Failure accounting: attempted operations are admits, push items and
@@ -622,16 +728,18 @@ std::vector<Metric> end_to_end(const std::vector<Rep>& reps, const std::vector<d
                                double peak_rss_mb) {
   // Every host figure is a median over repetitions, the tick quantiles
   // too: a burst of host noise then moves one repetition's figure only.
+  // Host times are scaled to the nominal host speed first.
   std::vector<double> firings, accesses, sessions, p50, p99;
   for (const Rep& r : reps) {
-    firings.push_back(ratio(static_cast<double>(r.counts.firings), r.timed_s));
-    accesses.push_back(ratio(static_cast<double>(r.counts.l1_accesses), r.timed_s));
-    sessions.push_back(ratio(static_cast<double>(r.counts.closes), r.timed_s));
-    p50.push_back(quantile(r.tick_s, 0.50));
-    p99.push_back(quantile(r.tick_s, 0.99));
+    const double timed_s = r.scale * r.timed_s;
+    firings.push_back(ratio(static_cast<double>(r.counts.firings), timed_s));
+    accesses.push_back(ratio(static_cast<double>(r.counts.l1_accesses), timed_s));
+    sessions.push_back(ratio(static_cast<double>(r.counts.closes), timed_s));
+    p50.push_back(r.scale * r.tick_p50_s);
+    p99.push_back(r.scale * r.tick_p99_s);
   }
   const Counts& c = reps.front().counts;
-  std::cout << "tick samples: " << reps.front().tick_s.size() << " per repetition, "
+  std::cout << "tick samples: " << reps.front().ticks << " per repetition, "
             << reps.size() << " repetitions\n";
   return {
       {"setup_s", median(setups), "s", "lower"},
@@ -651,19 +759,19 @@ std::vector<Metric> end_to_end(const std::vector<Rep>& reps, const std::vector<d
 }
 
 std::vector<Metric> per_layer(const std::vector<Rep>& traced, const std::vector<Rep>& untraced,
-                              double replay_run_s, bool threads) {
+                              double replay_run_s, bool threads, double reference_ms) {
   std::map<std::string, std::vector<double>> self;
   std::vector<double> coverage, traced_s, untraced_s;
   for (const Rep& r : traced) {
-    for (const auto& [key, s] : self_times(r.spans)) self[key].push_back(s);
+    for (const auto& [key, s] : self_times(r.spans)) self[key].push_back(r.scale * s);
     double top = 0;  // top-level spans inside the timed phase
     for (const Span& s : r.spans) {
       if (s.parent < 0 && s.start >= r.timed_begin) top += s.end - s.start;
     }
     coverage.push_back(ratio(top, r.timed_s));
-    traced_s.push_back(r.timed_s);
+    traced_s.push_back(r.scale * r.timed_s);
   }
-  for (const Rep& r : untraced) untraced_s.push_back(r.timed_s);
+  for (const Rep& r : untraced) untraced_s.push_back(r.scale * r.timed_s);
   const auto t = [&](const std::string& key) {
     // A layer self time: median over traced repetitions (absent = 0).
     const auto it = self.find(key);
@@ -726,6 +834,7 @@ std::vector<Metric> per_layer(const std::vector<Rep>& traced, const std::vector<
       {"trace.spans", n(static_cast<std::int64_t>(traced.front().spans.size())), "count", "lower"},
       {"trace.coverage", median(coverage), "ratio", "higher"},
       {"trace.overhead", ratio(median(traced_s), median(untraced_s)), "ratio", "lower"},
+      {"host.reference_ms", reference_ms, "ms", "lower"},
   };
 }
 
@@ -816,10 +925,21 @@ int run(const Options& o) {
   Tally tally;
   Runner runner{w, o, tally};
   std::vector<Rep> untraced, traced;
-  std::vector<double> setups;  // untraced ones
+  std::vector<double> setups;  // untraced ones, scaled
+  ReferenceJob reference;
+  std::vector<double> reference_ms;
+  // Times the reference job again; returns the scale for what ran since the
+  // previous time.
+  const auto rescale = [&] {
+    reference_ms.push_back(reference.run_ms());
+    return ReferenceJob::kNominalMs / std::sqrt(reference_ms.end()[-2] * reference_ms.back());
+  };
 
-  // Repetitions until the time is spent; --trace=1 alternates untraced and
-  // traced ones. Every run makes at least two of each kind it reports.
+  // A warm-up repetition, then repetitions until the time is spent;
+  // --trace=1 alternates untraced and traced ones. Every run makes at least
+  // two of each kind it reports. The reference job runs once before the
+  // first repetition and once after each.
+  Counts warmup;
   const double begin = now_s();
   const auto elapsed = [&] { return now_s() - begin; };
   double last_s = 0;
@@ -828,25 +948,39 @@ int run(const Options& o) {
     return kinds && elapsed() + last_s > o.seconds;
   };
   try {
+    warmup = runner.run(false, w.threads, w.cluster.swap).counts;
+    reference_ms.push_back(reference.run_ms());
     while (!enough()) {
       const bool trace_this = o.trace && traced.size() < untraced.size();
       const double rep_begin = elapsed();
       Rep rep = runner.run(trace_this, w.threads, w.cluster.swap);
-      last_s = elapsed() - rep_begin;
-      if (!trace_this) setups.push_back(rep.setup_s);
+      std::vector<Rep>& kind = trace_this ? traced : untraced;
+      // Condensed at once, so the driver's memory stays flat over the run
+      // and peak_rss_mb does not grow with the number of repetitions.
+      rep.tick_p50_s = quantile(rep.tick_s, 0.50);
+      rep.tick_p99_s = quantile(rep.tick_s, 0.99);
+      rep.ticks = rep.tick_s.size();
+      std::vector<double>().swap(rep.tick_s);
+      rep.sums = aggregate_is_sum(rep.report);
+      if (!kind.empty()) rep.report = core::ClusterReport{};
+      std::vector<double> rep_setups;
+      if (!trace_this) rep_setups.push_back(rep.setup_s);
       if (!o.trace) {
         // Extra set-ups after every repetition, worth at least 2% of its
         // time, so that setup_s samples the host over the whole run.
-        for (double spent = 0; spent < 0.02 * last_s;) {
+        for (double spent = 0; spent < 0.02 * (elapsed() - rep_begin);) {
           Tracer off(false);
           Counts unused;
           const double setup_begin = now_s();
           const Setup done = runner.setup(off, w.cluster.swap, unused);
-          setups.push_back(now_s() - setup_begin);
-          spent += setups.back();
+          rep_setups.push_back(now_s() - setup_begin);
+          spent += rep_setups.back();
         }
       }
-      (trace_this ? traced : untraced).push_back(std::move(rep));
+      rep.scale = rescale();
+      for (const double setup_s : rep_setups) setups.push_back(rep.scale * setup_s);
+      last_s = elapsed() - rep_begin;
+      kind.push_back(std::move(rep));
     }
   } catch (const std::exception& e) {
     std::cout << "error: " << e.what() << "\n";
@@ -862,19 +996,21 @@ int run(const Options& o) {
     const auto all_equal = [&](const std::vector<Rep>& reps) {
       return std::all_of(reps.begin(), reps.end(), [&](const Rep& r) { return r.counts == first.counts; });
     };
-    tally.check(all_equal(untraced), "counters repeat across " + std::to_string(untraced.size()) +
-                                         " untraced repetitions");
+    tally.check(all_equal(untraced) && warmup == first.counts,
+                "counters repeat across the warm-up and " + std::to_string(untraced.size()) +
+                    " untraced repetitions");
     if (o.trace) tally.check(all_equal(traced), "tracing changes no counter");
     bool sums = true;
-    for (const Rep& r : untraced) sums = sums && aggregate_is_sum(r.report);
-    for (const Rep& r : traced) sums = sums && aggregate_is_sum(r.report);
+    for (const Rep& r : untraced) sums = sums && r.sums;
+    for (const Rep& r : traced) sums = sums && r.sums;
     tally.check(sums, "aggregate equals the sum over tenants plus retired");
     try {
       if (w.name == "serve-threads") {
         // threads == virtual time: per-tenant totals and placement.
         const Rep replay = runner.run(true, false, w.cluster.swap);
+        const double scale = rescale();
         for (const Span& s : replay.spans) {
-          if (std::string(s.function) == "run_until_idle") replay_run_s += s.end - s.start;
+          if (std::string(s.function) == "run_until_idle") replay_run_s += scale * (s.end - s.start);
         }
         bool same = replay.report.aggregate == first.report.aggregate &&
                     replay.report.tenants.size() == first.report.tenants.size();
@@ -906,9 +1042,17 @@ int run(const Options& o) {
   std::vector<Metric> metrics;
   if (!untraced.empty()) {
     const Rep& r = untraced.front();
-    std::cout << "firings/s per untraced repetition:";
+    std::cout << "firings/s per untraced repetition, unscaled:";
     for (const Rep& rep : untraced) std::cout << " " << std::llround(ratio(static_cast<double>(rep.counts.firings), rep.timed_s));
-    std::cout << "\n";
+    std::cout << "\nhost time scale per untraced repetition (" << ReferenceJob::kNominalMs
+              << " ms / reference job time):";
+    for (const Rep& rep : untraced) {
+      char buf[16];
+      std::snprintf(buf, sizeof buf, " %.3f", rep.scale);
+      std::cout << buf;
+    }
+    std::cout << "\nreference job: median " << format_number(median(reference_ms)) << " ms over "
+              << reference_ms.size() << " runs\n";
     std::cout << "workload " << w.name << " seed " << o.seed << ": " << untraced.size()
               << " untraced + " << traced.size() << " traced repetitions, " << r.counts.firings
               << " firings and " << r.counts.closes << " sessions per repetition\n";
@@ -916,7 +1060,7 @@ int run(const Options& o) {
     if (o.trace && !traced.empty()) {
       std::cout << "end-to-end metrics of the untraced repetitions (for reference):\n";
       print_metrics(e2e);
-      metrics = per_layer(traced, untraced, replay_run_s, w.threads);
+      metrics = per_layer(traced, untraced, replay_run_s, w.threads, median(reference_ms));
       if (!o.spans_path.empty()) write_chrome_trace(o.spans_path, traced.front().spans);
     } else {
       metrics = e2e;
