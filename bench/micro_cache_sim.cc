@@ -11,6 +11,10 @@
 //  * scalar regimes (BM_*Scalar*, BM_LruRandom) issue one virtual access()
 //    per word over a precomputed address stream, tracking the non-bulk path
 //    without measuring the RNG.
+//  * BM_SharedLlcStateSpans replays the access shape of one scheduled
+//    component on a worker cache (SharedLlcCache, no LLC): per firing, a
+//    one-block channel pop, the module's state span, and a one-block
+//    channel push -- the serving runtime's inner loop.
 
 #include <benchmark/benchmark.h>
 
@@ -128,6 +132,34 @@ void BM_HierarchyRange(benchmark::State& state) {
   state.SetItemsProcessed(cache.level_stats(0).accesses);
 }
 BENCHMARK(BM_HierarchyRange);
+
+// Worker-cache regime: a component of kModules modules, each with a
+// 160-word (20-block) state region, chained by channels whose 32-word rings
+// advance one word per firing. The modules fire in pipeline order; the
+// component (100 state blocks + 24 ring blocks) fits the 128-block private
+// level, so state spans stay resident runs and channel slots hit once
+// loaded. Items = simulated block accesses.
+void BM_SharedLlcStateSpans(benchmark::State& state) {
+  constexpr int kModules = 5;
+  constexpr std::int64_t kStateWords = 160;
+  constexpr std::int64_t kRingWords = 32;
+  SharedLlcCache cache(CacheConfig{1024, 8}, nullptr, nullptr);
+  const Addr ring_base = kModules * kStateWords;  // kModules + 1 rings follow the states
+  std::int64_t cursor = 0;
+  int module = 0;
+  for (auto _ : state) {
+    const Addr in_ring = ring_base + module * kRingWords;
+    cache.access_span(in_ring + cursor, 1, AccessMode::kRead);
+    cache.access_span(module * kStateWords, kStateWords, AccessMode::kRead);
+    cache.access_span(in_ring + kRingWords + cursor, 1, AccessMode::kWrite);
+    if (++module == kModules) {
+      module = 0;
+      if (++cursor == kRingWords) cursor = 0;
+    }
+  }
+  state.SetItemsProcessed(cache.stats().accesses);
+}
+BENCHMARK(BM_SharedLlcStateSpans);
 
 void BM_OptOffline(benchmark::State& state) {
   ccs::Rng rng(4);

@@ -18,6 +18,17 @@
 // one access() per block. Bulk and per-access paths produce bit-identical
 // CacheStats and replacement state (tests/iomodel/bulk_access_test.cc checks
 // this differentially).
+//
+// LruCache's bulk path is the simulator's inner loop, and has three tiers:
+//  * a span whose blocks already sit in the recency list as one contiguous
+//    run (last, last-1, ..., first -- what touching the span last time
+//    left behind) is verified by one table probe plus a walk of the run,
+//    then moved to the MRU end with one O(1) splice;
+//  * a one-block span takes a direct hit/miss path;
+//  * everything else runs the batched group-probe loop.
+// The same entry reports each block it missed, in ascending order, to an
+// optional MissSink -- how SharedLlcCache and HierarchyCache forward a span's
+// private misses to the next level without a per-block loop of their own.
 #pragma once
 
 #include <cstdint>
@@ -103,6 +114,22 @@ class CacheSim {
   AccessCosts costs_;         // all-zero unless a cost model is attached
 };
 
+/// Non-owning callback through which LruCache's bulk probe reports each
+/// block it missed, in ascending order, right after installing it. The
+/// callable must outlive the sink.
+class MissSink {
+ public:
+  template <class F>
+  explicit MissSink(const F& fn) noexcept
+      : fn_(&fn), call_([](const void* f, BlockId block) { (*static_cast<const F*>(f))(block); }) {}
+
+  void operator()(BlockId block) const { call_(fn_, block); }
+
+ private:
+  const void* fn_;
+  void (*call_)(const void*, BlockId);
+};
+
 /// Fully associative LRU with write-back/write-allocate.
 ///
 /// Replacement state is an intrusive doubly-linked list threaded through a
@@ -145,9 +172,16 @@ class LruCache final : public CacheSim {
   void audit_invariants() const;
 
  protected:
-  void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override;
+  void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override {
+    access_run(first, count, mode == AccessMode::kWrite, nullptr);
+  }
 
  private:
+  // The two-level caches drive access_run() directly: they have already
+  // validated the range in their own CacheSim::access_blocks().
+  friend class HierarchyCache;
+  friend class SharedLlcCache;
+
   static constexpr std::int32_t kNil = -1;
 
   /// One block's replacement state. slab_[0] is a sentinel that closes the
@@ -167,6 +201,19 @@ class LruCache final : public CacheSim {
     return static_cast<std::size_t>(
         (static_cast<std::uint64_t>(block) * 0x9e3779b97f4a7c15ULL) >> table_shift_);
   }
+
+  /// Bulk implementation: touches blocks first .. first+count-1 in
+  /// ascending order (count >= 1, range validated) and bumps the counters.
+  /// If `on_miss` is non-null it receives every missed block, in the order
+  /// a per-block loop would have missed them.
+  void access_run(BlockId first, std::int64_t count, bool write, const MissSink* on_miss);
+
+  /// Resident-run fast path: if blocks last, last-1, ..., first follow one
+  /// another in the recency list, the span is all hits and its exact LRU
+  /// outcome is that run moved to the MRU end -- done as one splice, with
+  /// counters and dirty bits applied. Returns false, having changed
+  /// nothing, on the first block out of place.
+  bool splice_resident_run(BlockId first, std::int64_t count, bool write);
 
   /// Hit/miss/eviction core; updates everything except the accesses/hits/
   /// misses counters (callers batch those so span loops are not serialized
@@ -193,6 +240,16 @@ class LruCache final : public CacheSim {
   /// across calls so a streaming all-miss phase stops paying for doomed
   /// batch probes after its first group.
   bool batch_hint_ = true;
+
+  /// Resident-run execution hint, pure strategy state like batch_hint_:
+  /// after a failed splice attempt the next splice_skip_ multi-block spans
+  /// go straight to the group loop, with the skip doubling (up to 63) on
+  /// each consecutive failure and reset by a success. A workload whose
+  /// spans are never resident runs (random overlapping spans, streaming
+  /// scans) thus stops paying for doomed walks, while one that re-touches
+  /// whole spans (module state) splices nearly every time.
+  std::int32_t splice_skip_ = 0;
+  std::int32_t splice_backoff_ = 0;
 
   /// Audit-mode sampling counter: a full audit_invariants() walk per bulk
   /// call would turn O(n) runs into O(n^2), so audit builds walk every

@@ -18,11 +18,19 @@ HierarchyCache::HierarchyCache(std::vector<std::int64_t> level_words,
 
 void HierarchyCache::access(Addr addr, AccessMode mode) {
   CCS_EXPECTS(addr >= 0, "negative address");
-  probe_block(block_of(addr), mode);
+  access_level(0, block_of(addr), 1, mode == AccessMode::kWrite);
 }
 
 void HierarchyCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
-  for (BlockId b = first, e = first + count; b != e; ++b) probe_block(b, mode);
+  access_level(0, first, count, mode == AccessMode::kWrite);
+}
+
+void HierarchyCache::access_level(std::size_t level, BlockId first, std::int64_t count,
+                                  bool write) {
+  const auto forward = [&](BlockId block) { access_level(level + 1, block, 1, write); };
+  const MissSink on_miss(forward);
+  levels_[level]->access_run(first, count, write,
+                             level + 1 < levels_.size() ? &on_miss : nullptr);
 }
 
 void HierarchyCache::flush() {
@@ -76,11 +84,22 @@ SharedLlcCache::SharedLlcCache(const CacheConfig& private_config, ShardedLruCach
 
 void SharedLlcCache::access(Addr addr, AccessMode mode) {
   CCS_EXPECTS(addr >= 0, "negative address");
-  probe_block(block_of(addr), mode);
+  do_access_blocks(block_of(addr), 1, mode);
 }
 
 void SharedLlcCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
-  for (BlockId b = first, e = first + count; b != e; ++b) probe_block(b, mode);
+  const auto forward = [&](BlockId block) { forward_miss(block, mode); };
+  const MissSink on_miss(forward);
+  l1_.access_run(first, count, mode == AccessMode::kWrite, has_llc() ? &on_miss : nullptr);
+}
+
+void SharedLlcCache::forward_miss(BlockId block, AccessMode mode) {
+  if (sharded_llc_ != nullptr) {
+    sharded_llc_->access_block(block, mode);
+  } else {
+    const MutexLock lock(*llc_mutex_);
+    llc_->access_block(block, mode);
+  }
 }
 
 void SharedLlcCache::flush() { l1_.flush(); }

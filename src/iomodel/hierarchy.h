@@ -9,9 +9,14 @@
 // experiment E13 shows partitioning built for the L2 size removes L2/memory
 // traffic while leaving L1 behaviour unchanged.
 //
-// Probing goes through LruCache::access_block — the non-virtual per-block
-// fast path — and the bulk override walks a span one block at a time so a
-// resident run stays inside L1's hit path.
+// A span runs through each level's bulk path once: L1 takes the whole span
+// and reports each block it missed, in ascending order; exactly those blocks
+// go on to L2, whose misses go on to L3, and so on. A level's state depends
+// only on the sequence of blocks it is probed with, and that sequence --
+// the blocks every level below missed, in ascending order -- is the one a
+// block-at-a-time walk down the levels produces, so the result is
+// bit-identical to it. SharedLlcCache forwards its private misses to the
+// shared LLC the same way.
 #pragma once
 
 #include <memory>
@@ -54,13 +59,10 @@ class HierarchyCache final : public CacheSim {
   void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override;
 
  private:
-  /// Probes levels downward until one hits; every probed level installs the
-  /// block, giving an inclusive hierarchy.
-  void probe_block(BlockId block, AccessMode mode) {
-    for (auto& level : levels_) {
-      if (level->access_block(block, mode)) return;
-    }
-  }
+  /// Runs blocks first .. first+count-1 through `level`, forwarding each
+  /// miss to the next level; every probed level installs the block, giving
+  /// an inclusive hierarchy.
+  void access_level(std::size_t level, BlockId first, std::int64_t count, bool write);
 
   std::vector<std::unique_ptr<LruCache>> levels_;
 };
@@ -114,18 +116,10 @@ class SharedLlcCache final : public CacheSim {
   void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override;
 
  private:
-  /// Private probe; on a miss, forwards to the shared LLC -- under the
+  /// Probe-and-install of one private miss in the shared LLC -- under the
   /// pool-wide mutex (flat backend) or the owning stripe's internal lock
   /// (sharded backend).
-  void probe_block(BlockId block, AccessMode mode) {
-    if (l1_.access_block(block, mode)) return;
-    if (sharded_llc_ != nullptr) {
-      sharded_llc_->access_block(block, mode);
-    } else if (llc_ != nullptr) {
-      const MutexLock lock(*llc_mutex_);
-      llc_->access_block(block, mode);
-    }
-  }
+  void forward_miss(BlockId block, AccessMode mode);
 
   LruCache l1_;
   LruCache* llc_ CCS_PT_GUARDED_BY(llc_mutex_);  ///< Pointee guarded by the pool mutex.

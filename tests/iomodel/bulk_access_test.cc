@@ -4,10 +4,13 @@
 //  1. Bulk path == per-access reference: access_span / access_blocks must
 //     produce exactly the same CacheStats and residency as issuing one
 //     access() per touched block, on random spans, streaming scans, and
-//     wrapping-ring (channel-shaped) patterns.
+//     wrapping-ring (channel-shaped) patterns. For SharedLlcCache this
+//     covers the shared LLC too: the bulk side forwards the misses of its
+//     private bulk path, the reference those of one access at a time.
 //  2. Flat LRU == textbook LRU: the intrusive-slab LruCache must behave
 //     bit-identically to a straightforward std::list + std::unordered_map
-//     implementation on random word traces with eviction pressure.
+//     implementation on random word traces with eviction pressure, and on
+//     module-state-shaped traces that drive the resident-run splice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "iomodel/cache.h"
@@ -23,6 +27,7 @@
 #include "iomodel/sharded_cache.h"
 #include "iomodel/trace.h"
 #include "util/contracts.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 
 namespace ccs::iomodel {
@@ -49,11 +54,80 @@ void expect_stats_eq(const CacheStats& a, const CacheStats& b, const std::string
   EXPECT_EQ(a.writebacks, b.writebacks) << where;
 }
 
+/// A shared LLC behind one side of a SharedLlcCache pair: flat behind a
+/// mutex, or sharded. Each side owns its own, so the two evolve apart.
+struct Llc {
+  std::unique_ptr<LruCache> flat;
+  std::unique_ptr<ShardedLruCache> sharded;
+  Mutex mutex;
+
+  CacheSim& cache() {
+    if (flat) return *flat;
+    return *sharded;
+  }
+};
+
+/// Per-access reference for SharedLlcCache: a private LruCache probed one
+/// access at a time, each private miss forwarded to the LLC as one access.
+class PerAccessTwoLevel final : public CacheSim {
+ public:
+  PerAccessTwoLevel(const CacheConfig& private_config, CacheSim* llc)
+      : CacheSim(private_config.block_words), l1_(private_config), llc_(llc) {}
+
+  void access(Addr addr, AccessMode mode) override {
+    const std::int64_t misses = l1_.stats().misses;
+    l1_.access(addr, mode);
+    if (llc_ != nullptr && l1_.stats().misses != misses) llc_->access(addr, mode);
+  }
+  void flush() override { l1_.flush(); }
+  bool contains(Addr addr) const override { return l1_.contains(addr); }
+  const CacheStats& stats() const override { return l1_.stats(); }
+  const CacheConfig& config() const override { return l1_.config(); }
+
+ private:
+  LruCache l1_;
+  CacheSim* llc_;
+};
+
 struct CachePair {
+  CachePair(std::string n, std::unique_ptr<CacheSim> b, std::unique_ptr<CacheSim> r,
+            std::unique_ptr<Llc> bl = nullptr, std::unique_ptr<Llc> rl = nullptr)
+      : name(std::move(n)),
+        bulk(std::move(b)),
+        ref(std::move(r)),
+        bulk_llc(std::move(bl)),
+        ref_llc(std::move(rl)) {}
+
   std::string name;
   std::unique_ptr<CacheSim> bulk;
   std::unique_ptr<CacheSim> ref;
+  std::unique_ptr<Llc> bulk_llc;  ///< SharedLlcCache pairs with an LLC only.
+  std::unique_ptr<Llc> ref_llc;
 };
+
+/// `shards` 0 = flat LLC behind a mutex, >= 1 = sharded LLC; the LLC holds
+/// four private levels' worth of blocks.
+CachePair make_shared_llc_pair(const std::string& name, std::int64_t capacity_words,
+                               std::int32_t shards) {
+  const CacheConfig private_config{capacity_words, kBlock};
+  const CacheConfig llc_config{4 * capacity_words, kBlock};
+  CachePair pair{name, nullptr, nullptr, std::make_unique<Llc>(), std::make_unique<Llc>()};
+  for (Llc* llc : {pair.bulk_llc.get(), pair.ref_llc.get()}) {
+    if (shards == 0) {
+      llc->flat = std::make_unique<LruCache>(llc_config);
+    } else {
+      llc->sharded = std::make_unique<ShardedLruCache>(llc_config, shards);
+    }
+  }
+  if (shards == 0) {
+    pair.bulk = std::make_unique<SharedLlcCache>(private_config, pair.bulk_llc->flat.get(),
+                                                 &pair.bulk_llc->mutex);
+  } else {
+    pair.bulk = std::make_unique<SharedLlcCache>(private_config, pair.bulk_llc->sharded.get());
+  }
+  pair.ref = std::make_unique<PerAccessTwoLevel>(private_config, &pair.ref_llc->cache());
+  return pair;
+}
 
 std::vector<CachePair> make_pairs(std::int64_t capacity_words) {
   std::vector<CachePair> pairs;
@@ -84,12 +158,31 @@ std::vector<CachePair> make_pairs(std::int64_t capacity_words) {
       {"sharded4",
        std::make_unique<ShardedLruCache>(CacheConfig{capacity_words, kBlock}, 4),
        std::make_unique<ShardedLruCache>(CacheConfig{capacity_words, kBlock}, 4)});
+  // The worker cache in every setup a WorkerPool builds: no LLC, a flat
+  // LLC behind the pool mutex, and one- and four-stripe sharded LLCs.
+  pairs.push_back({"shared-no-llc",
+                   std::make_unique<SharedLlcCache>(CacheConfig{capacity_words, kBlock},
+                                                    nullptr, nullptr),
+                   std::make_unique<PerAccessTwoLevel>(CacheConfig{capacity_words, kBlock},
+                                                       nullptr)});
+  pairs.push_back(make_shared_llc_pair("shared-flat-llc", capacity_words, 0));
+  pairs.push_back(make_shared_llc_pair("shared-sharded1-llc", capacity_words, 1));
+  pairs.push_back(make_shared_llc_pair("shared-sharded4-llc", capacity_words, 4));
   return pairs;
 }
 
+/// Compares per-block residency of both sides, and stats and residency of
+/// their shared LLCs when the pair has them.
 void check_residency(const CachePair& pair, Addr max_addr, const std::string& where) {
   for (Addr a = 0; a < max_addr; a += kBlock) {
     ASSERT_EQ(pair.bulk->contains(a), pair.ref->contains(a)) << where << " addr " << a;
+  }
+  if (!pair.bulk_llc) return;
+  expect_stats_eq(pair.bulk_llc->cache().stats(), pair.ref_llc->cache().stats(),
+                  where + " (LLC)");
+  for (Addr a = 0; a < max_addr; a += kBlock) {
+    ASSERT_EQ(pair.bulk_llc->cache().contains(a), pair.ref_llc->cache().contains(a))
+        << where << " LLC addr " << a;
   }
 }
 
@@ -120,6 +213,7 @@ TEST(BulkAccess, StreamingScanMatchesPerAccessReference) {
     pair.bulk->flush();
     pair.ref->flush();
     expect_stats_eq(pair.bulk->stats(), pair.ref->stats(), pair.name + " streaming");
+    check_residency(pair, 2000 * 37 + 64, pair.name + " streaming");
   }
 }
 
@@ -276,6 +370,89 @@ TEST(FlatLru, MatchesTextbookThroughBulkSpans) {
     }
   }
   expect_stats_eq(flat.stats(), text.stats(), "bulk spans");
+}
+
+TEST(FlatLru, ModuleStateRotationMatchesTextbook) {
+  // A runtime-shaped trace: fixed, block-aligned module state spans
+  // re-touched in rotation, each followed by one-block channel touches, over
+  // a footprint larger than the cache. It drives every tier of the bulk
+  // path: a span still resident as one run takes the splice (including the
+  // already-at-MRU case when a firing writes its state right back), a span
+  // whose oldest blocks were evicted falls back to the group loop, and stray
+  // touches inside a span fragment its run so the next full touch must fall
+  // back too. Writes set dirty bits on every path, and the closing flush()
+  // compares writebacks.
+  const std::int64_t capacity_blocks = 48;
+  const std::int64_t state_blocks[] = {20, 7, 12, 3, 20, 9};
+  std::vector<Addr> state_base;
+  Addr next = 0;
+  for (const std::int64_t blocks : state_blocks) {
+    state_base.push_back(next);
+    next += (blocks + 2) * kBlock;  // a gap keeps neighbouring runs apart
+  }
+  const Addr channel_base = next;
+  const std::int64_t modules = static_cast<std::int64_t>(state_base.size());
+
+  LruCache flat(CacheConfig{capacity_blocks * kBlock, kBlock});
+  SharedLlcCache worker(CacheConfig{capacity_blocks * kBlock, kBlock}, nullptr, nullptr);
+  TextbookLru text(capacity_blocks);
+  const auto touch = [&](Addr addr, std::int64_t words, AccessMode mode) {
+    flat.access_span(addr, words, mode);
+    worker.access_span(addr, words, mode);
+    const Addr last = addr + words - 1;
+    for (BlockId b = addr / kBlock; b <= last / kBlock; ++b) {
+      text.access(std::max(addr, b * kBlock), mode);
+    }
+  };
+
+  Rng rng(606);
+  std::int64_t m = 0;
+  for (int step = 0; step < 6000; ++step) {
+    // Mostly rotate through the modules; sometimes fire the same module
+    // again, or stay inside the first three (which fit in the cache).
+    const double pick = rng.uniform01();
+    if (pick < 0.15) {
+      // same module again
+    } else if (pick < 0.45) {
+      m = rng.uniform(0, 2);
+    } else {
+      m = (m + 1) % modules;
+    }
+    const auto mi = static_cast<std::size_t>(m);
+    const AccessMode mode = rng.bernoulli(0.3) ? AccessMode::kWrite : AccessMode::kRead;
+    touch(state_base[mi], state_blocks[mi] * kBlock, mode);
+    if (rng.bernoulli(0.1)) {
+      // Write the state back right away: the run is already at MRU.
+      touch(state_base[mi], state_blocks[mi] * kBlock, AccessMode::kWrite);
+    }
+    if (rng.bernoulli(0.1)) {
+      // Fragment the run: re-touch one interior block on its own.
+      const std::int64_t inner = rng.uniform(0, state_blocks[mi] - 1);
+      touch(state_base[mi] + inner * kBlock + 3, 1, AccessMode::kRead);
+    }
+    const std::int64_t slots = rng.uniform(1, 2);
+    for (std::int64_t i = 0; i < slots; ++i) {
+      touch(channel_base + rng.uniform(0, 15) * kBlock, 1, AccessMode::kWrite);
+    }
+    if (step % 500 == 0) {
+      flat.audit_invariants();
+      worker.private_level().audit_invariants();
+      expect_stats_eq(flat.stats(), text.stats(), "step " + std::to_string(step));
+      expect_stats_eq(worker.stats(), text.stats(), "worker step " + std::to_string(step));
+    }
+  }
+  flat.audit_invariants();
+  worker.private_level().audit_invariants();
+  for (Addr a = 0; a < channel_base + 16 * kBlock; a += kBlock) {
+    ASSERT_EQ(flat.contains(a), text.contains(a)) << "addr " << a;
+    ASSERT_EQ(worker.contains(a), text.contains(a)) << "worker addr " << a;
+  }
+  flat.flush();
+  worker.flush();
+  text.flush();
+  expect_stats_eq(flat.stats(), text.stats(), "module rotation");
+  expect_stats_eq(worker.stats(), text.stats(), "worker module rotation");
+  EXPECT_GT(text.stats().writebacks, 0);
 }
 
 // --- Contracts -----------------------------------------------------------

@@ -130,6 +130,17 @@ TEST(SetAssociative, DirectMappedIsOneWay) {
   EXPECT_EQ(cache.stats().misses, 3);
 }
 
+TEST(SetAssociative, ContainsRejectsNegativeAddresses) {
+  // Block -1 must not match an empty way's tag, and -3 must not round
+  // toward block 0.
+  SetAssociativeCache cache(CacheConfig{32, 8}, 2);
+  EXPECT_FALSE(cache.contains(-8));
+  cache.access(0, AccessMode::kRead);
+  EXPECT_TRUE(cache.contains(0));
+  EXPECT_FALSE(cache.contains(-3));
+  EXPECT_FALSE(cache.contains(-1));
+}
+
 TEST(SetAssociative, RejectsBadGeometry) {
   EXPECT_THROW(SetAssociativeCache(CacheConfig{24, 8}, 2), ContractViolation);  // 3 blocks % 2
   EXPECT_THROW(SetAssociativeCache(CacheConfig{48, 8}, 2), ContractViolation);  // 3 sets !pow2
