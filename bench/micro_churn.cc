@@ -20,12 +20,23 @@
 //
 // BM_ChurnTraceGen measures the workloads::churn_trace generator alone at
 // the same scales -- the experiment driver's per-cell setup cost.
+//
+// BM_ClusterChurnWindow is the core::Cluster arm: a fixed resident budget
+// (64 live sessions, swap tier on, adaptive placement on 4 workers) under a
+// sliding window of 64, 256 or 1024 open sessions. Every session gets one
+// burst at admission and one revisit to the session opened 48 admissions
+// earlier (a swap-in), and each burst is followed by run_until_idle +
+// swap_out_idle, like the churn-swap serving benchmark. The modeled work
+// per session (l1_misses_per_session) is the same at every window, so
+// us_per_session stays flat when the cluster's per-tick cost follows
+// resident sessions and grows with the window when it follows open ones.
 
 #include <benchmark/benchmark.h>
 
 #include <deque>
 #include <string>
 
+#include "core/cluster.h"
 #include "core/server.h"
 #include "partition/pipeline_dp.h"
 #include "workloads/arrivals.h"
@@ -99,6 +110,64 @@ void BM_ChurnFlatMemory(benchmark::State& state) {
 BENCHMARK(BM_ChurnFlatMemory)
     ->Arg(100000)
     ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
+
+void BM_ClusterChurnWindow(benchmark::State& state) {
+  constexpr std::int64_t kSessions = 8192;
+  constexpr std::int64_t kItems = 16;
+  constexpr std::size_t kRevisit = 48;
+  const std::int64_t window = state.range(0);
+  const auto g = workloads::uniform_pipeline(4, 48);
+  core::ClusterOptions opts;
+  opts.workers = 4;
+  opts.l1 = {4096, 8};
+  opts.placement = "adaptive";
+  opts.admission = "bounded-live";
+  opts.budget.max_live_sessions = 64;
+  opts.swap = true;
+  opts.band_words = std::int64_t{1} << 20;
+  const auto p = partition::pipeline_optimal_partition(g, 3 * opts.l1.capacity_words).partition;
+
+  session::LifecycleCounters last;
+  std::int64_t misses = 0;
+  for (auto _ : state) {
+    core::Cluster cluster(opts);
+    std::deque<core::TenantId> open;
+    const auto burst = [&](core::TenantId id) {
+      cluster.push(id, kItems);
+      cluster.run_until_idle();
+      cluster.swap_out_idle();
+    };
+    for (std::int64_t s = 0; s < kSessions; ++s) {
+      open.push_back(cluster.admit("s" + std::to_string(s), g, p));
+      burst(open.back());
+      // Revisit the session opened kRevisit admissions ago (open at every
+      // window): it was swapped out, so this burst pays a rehydration, and
+      // the modeled work is the same at every window.
+      if (open.size() > kRevisit) burst(open[open.size() - 1 - kRevisit]);
+      if (static_cast<std::int64_t>(open.size()) > window) {
+        cluster.close(open.front());
+        open.pop_front();
+      }
+    }
+    last = cluster.lifecycle();
+    misses = cluster.report().aggregate.cache.misses;
+    benchmark::DoNotOptimize(last);
+  }
+  state.SetItemsProcessed(kSessions * state.iterations());
+  state.counters["us_per_session"] = benchmark::Counter(
+      static_cast<double>(kSessions * state.iterations()) * 1e-6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["swap_ins"] = static_cast<double>(last.swap_ins);
+  state.counters["peak_live"] = static_cast<double>(last.peak_live);
+  state.counters["l1_misses_per_session"] =
+      static_cast<double>(misses) / static_cast<double>(kSessions);
+}
+BENCHMARK(BM_ClusterChurnWindow)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -338,19 +339,14 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
                         std::int64_t m) {
   CCS_EXPECTS(!name.empty(), "tenant name must be non-empty");
   CCS_EXPECTS(m >= 0, "tenant cache share must be non-negative");
-  for (const auto& [tid, t] : tenants_) {
-    if (t.name == name) throw Error("tenant '" + name + "' is already admitted");
-  }
+  if (names_.count(name) != 0) throw Error("tenant '" + name + "' is already admitted");
   const std::int64_t effective_m = m > 0 ? m : options_.l1.capacity_words;
 
-  // Price the candidate before building anything (see Server::admit).
-  schedule::OnlineContext ctx;
-  ctx.m = effective_m;
-  const auto pricing_policy =
-      schedule::OnlineRegistry::global().build(options.policy, g, p, ctx);
-  const std::int64_t layout_words = runtime::layout_footprint_words(
-      g, pricing_policy->buffer_caps(), options_.l1.block_words,
-      options.engine.block_align_buffers);
+  // Build the session's plan and price it before anything else (see
+  // Server::admit).
+  auto plan = std::make_shared<StreamPlan>(g, p, effective_m, options_.l1.block_words,
+                                           std::move(options));
+  const std::int64_t layout_words = plan->layout->footprint_words();
   if (layout_words > options_.band_words) {
     throw Error("session layout (" + std::to_string(layout_words) +
                 " words) exceeds band_words (" + std::to_string(options_.band_words) +
@@ -395,40 +391,40 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
     }
     band = next_band_++;
   }
-  options.engine.address_base = band * options_.band_words;
+  plan->options.engine.address_base = band * options_.band_words;
 
   const TenantId id = next_id_;
   PlacementRequest request;
   request.tenant = id;
   request.current = kNoWorker;
-  for (sdf::NodeId v = 0; v < g.node_count(); ++v) request.state_words += g.node(v).state;
+  request.state_words = plan->layout->state_words();
   request.resident_blocks.assign(static_cast<std::size_t>(pool_.size()), 0);
   const WorkerId home = checked_placement(request);
 
   Tenant t;
+  t.id = id;
   t.name = std::move(name);
   t.worker = home;
   t.band = band;
-  t.layout_words = layout_words;
-  t.graph = g;
-  t.partition = p;
-  t.stream_options = options;
-  t.m = effective_m;
-  t.stream = std::make_unique<Stream>(g, p, pool_.worker_cache(home), effective_m,
-                                      std::move(options));
+  t.plan = std::move(plan);
+  t.stream = std::make_unique<Stream>(t.plan, pool_.worker_cache(home));
   t.stream->set_cost_model(&cost_model_);
   const auto [it, inserted] = tenants_.emplace(id, std::move(t));
   CCS_CHECK(inserted, "tenant id reused");
   ++next_id_;
-  workers_[static_cast<std::size_t>(home)].tenants.push_back(id);
+  Tenant& placed = it->second;
+  names_.insert(placed.name);
+  resident_.emplace(id, &placed);
+  Worker& worker = workers_[static_cast<std::size_t>(home)];
+  worker.tenants.push_back(&placed);
+  ++worker.runnable;  // a new session is not idle until a step finds it blocked
   ++lifecycle_.sessions_opened;
   lifecycle_.on_resident(layout_words);
   swap_.admit(id);
   // Seed the footprint estimate from the gain-analysis layout (state plus
-  // channel rings) -- the paper's working-set bound made concrete. The
-  // estimator is indexed by tenant id (monotonic, one add per admission).
-  const runtime::FootprintSample seed = it->second.stream->footprint_sample();
-  estimator_.add_session(seed.layout_words, seed.state_words);
+  // channel rings) -- the paper's working-set bound made concrete.
+  const runtime::FootprintSample seed = placed.stream->footprint_sample();
+  estimator_.add_session(id, seed.layout_words, seed.state_words);
   return id;
 }
 
@@ -488,8 +484,9 @@ void Cluster::swap_out_tenant(TenantId id, Tenant& t) {
             "swap image does not round-trip the session snapshot");
   swap_.swap_out(id, std::move(image));
   t.stream.reset();
-  t.idle = true;  // swapped sessions are idle by construction
-  lifecycle_.on_nonresident(t.layout_words);
+  resident_.erase(id);
+  mark_idle(t);  // swapped sessions are idle by construction
+  lifecycle_.on_nonresident(t.plan->layout->footprint_words());
   ++lifecycle_.swapped_sessions;
   ++lifecycle_.swap_outs;
 }
@@ -499,17 +496,15 @@ void Cluster::rehydrate(TenantId id, Tenant& t) {
   const session::SessionSnapshot snapshot = swap_.swap_in(id).unpack();
   // Back onto the worker that last served it -- placement is pinned across
   // a swap, so swap-on and swap-off runs make identical decisions.
-  StreamOptions options = t.stream_options;
-  t.stream = std::make_unique<Stream>(t.graph, t.partition,
-                                      pool_.worker_cache(t.worker), t.m,
-                                      std::move(options));
+  t.stream = std::make_unique<Stream>(t.plan, pool_.worker_cache(t.worker));
   t.stream->set_cost_model(&cost_model_);
+  resident_.emplace(id, &t);
   StreamState state;
   state.engine = snapshot.engine;
   state.totals = snapshot.totals;
   state.steps = snapshot.steps;
   t.stream->restore_state(state);
-  lifecycle_.on_resident(t.layout_words);
+  lifecycle_.on_resident(t.plan->layout->footprint_words());
   --lifecycle_.swapped_sessions;
   ++lifecycle_.swap_ins;
 }
@@ -557,9 +552,10 @@ void Cluster::swap_out(TenantId id) {
 std::int64_t Cluster::swap_out_idle() {
   CCS_EXPECTS(options_.swap, "swap_out_idle requires ClusterOptions::swap");
   std::int64_t evicted = 0;
-  for (auto& [id, t] : tenants_) {
-    if (t.stream != nullptr && t.idle) {
-      swap_out_tenant(id, t);
+  for (auto it = resident_.begin(); it != resident_.end();) {
+    Tenant& t = *(it++)->second;  // advance first: swap_out_tenant erases the entry
+    if (t.idle) {
+      swap_out_tenant(t.id, t);
       ++evicted;
     }
   }
@@ -572,15 +568,19 @@ void Cluster::close(TenantId id) {
   Tenant& t = it->second;
   if (t.stream != nullptr) {
     retired_ += t.stream->stats();
-    lifecycle_.on_nonresident(t.layout_words);
+    lifecycle_.on_nonresident(t.plan->layout->footprint_words());
+    resident_.erase(id);
   } else {
     retired_ += t.totals;
     --lifecycle_.swapped_sessions;
   }
+  mark_idle(t);
   Worker& home = workers_[static_cast<std::size_t>(t.worker)];
-  home.tenants.erase(std::find(home.tenants.begin(), home.tenants.end(), id));
+  home.tenants.erase(std::find(home.tenants.begin(), home.tenants.end(), &t));
   home.cursor = 0;  // keep the rotation point deterministic after the edit
   swap_.erase(id);
+  estimator_.remove_session(id);
+  names_.erase(t.name);
   free_bands_.insert(t.band);
   tenants_.erase(it);
   ++lifecycle_.sessions_closed;
@@ -591,22 +591,38 @@ std::int64_t Cluster::push(TenantId id, std::int64_t items) {
   if (t.stream == nullptr) rehydrate(id, t);
   const std::int64_t accepted = t.stream->push(items);
   if (accepted > 0) {
-    t.idle = false;  // new arrivals may unblock the session
+    mark_runnable(t);  // new arrivals may unblock the session
     swap_.touch(id);
   }
   return accepted;
 }
 
+void Cluster::mark_idle(Tenant& t) {
+  if (t.idle) return;
+  t.idle = true;
+  --workers_[static_cast<std::size_t>(t.worker)].runnable;
+}
+
+void Cluster::mark_runnable(Tenant& t) {
+  if (!t.idle) return;
+  t.idle = false;
+  ++workers_[static_cast<std::size_t>(t.worker)].runnable;
+}
+
 bool Cluster::worker_step(WorkerId w) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
+  // Nothing runnable: the scan below would find every tenant idle and leave
+  // the cursor where it is, so skipping it changes no decision.
+  if (worker.runnable == 0) return false;
   const std::size_t n = worker.tenants.size();
   for (std::size_t probe = 0; probe < n; ++probe) {
     const std::size_t slot = (worker.cursor + probe) % n;
-    Tenant& t = tenants_.at(worker.tenants[slot]);
+    Tenant& t = *worker.tenants[slot];
     if (t.idle) continue;  // swapped tenants are idle, so never stepped
     const StepResult r = t.stream->step();
     if (!r.progressed()) {
       t.idle = true;  // stays blocked until the controlling thread pushes
+      --worker.runnable;
       continue;
     }
     // Virtual time advances by the step's modeled cost (== firings under
@@ -630,6 +646,7 @@ std::int64_t Cluster::step_round() {
 }
 
 std::int64_t Cluster::run_until_idle() {
+  CCS_AUDIT_BLOCK(audit_invariants(););
   adapt();
   std::int64_t executed = 0;
   for (std::int64_t p = step_round(); p > 0; p = step_round()) executed += p;
@@ -637,6 +654,7 @@ std::int64_t Cluster::run_until_idle() {
 }
 
 std::int64_t Cluster::run_threads() {
+  CCS_AUDIT_BLOCK(audit_invariants(););
   adapt();  // on the controlling thread, while still quiescent -- exactly
             // the adaptation point run_until_idle uses, so both modes see
             // identical placements before the first step.
@@ -670,15 +688,16 @@ std::vector<ClusterWorkerStatus> Cluster::worker_statuses() const {
     s.tenants = static_cast<std::int32_t>(worker.tenants.size());
     s.misses = pool_.worker_stats(w).misses;
     s.l1_words = options_.l1.capacity_words;
-    if (adaptive_active()) {
-      for (const TenantId id : worker.tenants) {
-        if (id < estimator_.session_count() && estimator_.hot(id) &&
-            tenants_.at(id).stream != nullptr) {
-          s.hot_words += estimator_.footprint_words(id);
-        }
+    out.push_back(s);
+  }
+  if (adaptive_active()) {
+    // Only resident sessions carry cache pressure (a swapped one has no
+    // live footprint), so the resident set is all there is to sum.
+    for (const auto& [id, t] : resident_) {
+      if (estimator_.hot(id)) {
+        out[static_cast<std::size_t>(t->worker)].hot_words += estimator_.footprint_words(id);
       }
     }
-    out.push_back(s);
   }
   return out;
 }
@@ -688,15 +707,14 @@ PlacementRequest Cluster::request_for(TenantId id) const {
   PlacementRequest request;
   request.tenant = id;
   request.current = t.worker;
-  // Module-state words, matching what admit() reports before the stream
-  // exists -- a policy thresholding on state_words must see one number.
-  const sdf::SdfGraph& g = t.stream->graph();
-  for (sdf::NodeId v = 0; v < g.node_count(); ++v) request.state_words += g.node(v).state;
+  // Module-state words, the same number admit() reports -- a policy
+  // thresholding on state_words must see one number.
+  request.state_words = t.plan->layout->state_words();
   request.resident_blocks.reserve(static_cast<std::size_t>(pool_.size()));
   for (WorkerId w = 0; w < worker_count(); ++w) {
     request.resident_blocks.push_back(pool_.resident_blocks(w, t.stream->layout_span()));
   }
-  if (adaptive_active() && id < estimator_.session_count()) {
+  if (adaptive_active()) {
     request.footprint_words = estimator_.footprint_words(id);
     request.hot = estimator_.hot(id);
   }
@@ -713,14 +731,11 @@ std::int64_t Cluster::rebalance() {
   std::int64_t moved = 0;
   // Swapped tenants stay pinned: they have no cache state to be affine to,
   // and no live footprint to shed; they re-enter placement churn only after
-  // rehydration.
-  std::vector<TenantId> resident;
-  for (const auto& [id, t] : tenants_) {
-    if (t.stream != nullptr) resident.push_back(id);
-  }
-  for (const TenantId id : resident) {
+  // rehydration. Moving a resident tenant leaves the resident set as it
+  // is, so the set can be walked while migrating.
+  for (const auto& [id, t] : resident_) {
     const WorkerId target = checked_placement(request_for(id));
-    if (target != tenant(id).worker) {
+    if (target != t->worker) {
       migrate(id, target);
       ++moved;
     }
@@ -739,13 +754,13 @@ std::int64_t Cluster::adapt() {
 }
 
 void Cluster::observe_footprints() {
-  for (const auto& [id, t] : tenants_) {
-    if (t.stream == nullptr) continue;  // swapped: no live traffic to window
-    const runtime::FootprintSample sample = t.stream->footprint_sample();
+  // Swapped sessions have no live traffic to window; they are not observed.
+  for (const auto& [id, t] : resident_) {
+    const runtime::FootprintSample sample = t->stream->footprint_sample();
     placement::FootprintObservation o;
     o.accesses = sample.accesses;
     o.misses = sample.misses;
-    o.resident_words = pool_.resident_words(t.worker, t.stream->layout_span());
+    o.resident_words = pool_.resident_words(t->worker, t->stream->layout_span());
     estimator_.observe(id, o);
   }
 }
@@ -757,9 +772,9 @@ bool Cluster::migration_trigger_fired() {
   // allowance of the private cache.
   const std::int64_t allowance = options_.l1.capacity_words * a.oversub_permille / 1000;
   std::vector<std::int64_t> hot_words(workers_.size(), 0);
-  for (const auto& [id, t] : tenants_) {
-    if (t.stream != nullptr && estimator_.hot(id)) {
-      hot_words[static_cast<std::size_t>(t.worker)] += estimator_.footprint_words(id);
+  for (const auto& [id, t] : resident_) {
+    if (estimator_.hot(id)) {
+      hot_words[static_cast<std::size_t>(t->worker)] += estimator_.footprint_words(id);
     }
   }
   for (const std::int64_t pressure : hot_words) {
@@ -797,14 +812,60 @@ void Cluster::migrate(TenantId id, WorkerId target) {
     return;
   }
   Worker& from = workers_[static_cast<std::size_t>(t.worker)];
-  from.tenants.erase(std::find(from.tenants.begin(), from.tenants.end(), id));
+  from.tenants.erase(std::find(from.tenants.begin(), from.tenants.end(), &t));
   from.cursor = 0;  // keep the rotation point deterministic after the edit
   Worker& to = workers_[static_cast<std::size_t>(target)];
-  to.tenants.push_back(id);
+  to.tenants.push_back(&t);
+  if (!t.idle) {
+    --from.runnable;
+    ++to.runnable;
+  }
   t.stream->migrate_cache(pool_.worker_cache(target));
   t.worker = target;
   ++t.migrations;
   ++migrations_;
+}
+
+void Cluster::audit_invariants() const {
+  // Slot lists: every entry is an open tenant placed on that worker, and
+  // every open tenant appears exactly once across all lists.
+  std::set<TenantId> placed;
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    const Worker& worker = workers_[w];
+    std::int64_t runnable = 0;
+    for (const Tenant* t : worker.tenants) {
+      const auto it = tenants_.find(t->id);
+      CCS_CHECK(it != tenants_.end() && &it->second == t,
+                "worker slot does not point at an open tenant");
+      CCS_CHECK(t->worker == static_cast<WorkerId>(w), "tenant slotted on a foreign worker");
+      CCS_CHECK(placed.insert(t->id).second, "tenant slotted more than once");
+      if (!t->idle) ++runnable;
+    }
+    CCS_CHECK(worker.runnable == runnable, "worker runnable count is off");
+    CCS_CHECK(worker.cursor == 0 || worker.cursor < worker.tenants.size(),
+              "worker rotation cursor outside its slot list");
+  }
+  CCS_CHECK(placed.size() == tenants_.size(), "open tenant missing from every worker");
+  // Resident set: exactly the tenants with a live Stream, in id order.
+  std::size_t resident = 0;
+  for (const auto& [id, t] : tenants_) {
+    CCS_CHECK(t.id == id, "tenant id disagrees with its key");
+    const auto r = resident_.find(id);
+    if (t.stream != nullptr) {
+      ++resident;
+      CCS_CHECK(r != resident_.end() && r->second == &t,
+                "resident tenant missing from the resident set");
+    } else {
+      CCS_CHECK(r == resident_.end(), "swapped tenant in the resident set");
+      CCS_CHECK(t.idle, "swapped tenant is not idle");
+    }
+    CCS_CHECK(names_.count(t.name) == 1, "open tenant missing from the name index");
+    CCS_CHECK(estimator_.contains(id), "open tenant missing from the footprint estimator");
+  }
+  CCS_CHECK(resident_.size() == resident, "resident set holds a closed or swapped tenant");
+  CCS_CHECK(names_.size() == tenants_.size(), "name index holds a closed tenant");
+  CCS_CHECK(static_cast<std::size_t>(estimator_.session_count()) == tenants_.size(),
+            "footprint estimator holds a closed tenant");
 }
 
 void Cluster::drain_all() {
@@ -815,7 +876,7 @@ void Cluster::drain_all() {
     // there so makespan covers the tail work too (it is priced but not a
     // histogram sample -- see Stream::drain).
     workers_[static_cast<std::size_t>(t.worker)].busy += r.cost;
-    t.idle = true;
+    mark_idle(t);
   }
 }
 

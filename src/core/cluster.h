@@ -54,9 +54,16 @@
 // totals into the report's `retired` aggregate and recycling its band), and
 // with the swap tier enabled idle sessions serialize to compact
 // session::SwapImages and rehydrate transparently on the next push --
-// always back onto the worker that last served them, so placement
-// decisions, per-tenant counters, and report JSON are bit-identical
-// between swap-on and swap-off runs.
+// always back onto the worker that last served them. Swapped sessions are
+// pinned and unobserved, so placement decisions, per-tenant counters, and
+// report JSON are bit-identical between swap-on and swap-off runs as long
+// as no rebalance (explicit, or adaptive placement's automatic one) runs
+// while a session is swapped; a swap-off run may move those idle sessions.
+//
+// Scheduling cost follows resident work: each worker keeps Tenant* slots
+// and a count of its runnable (non-idle) tenants, and the resident
+// sessions are kept as a set in id order, so a step, swap_out_idle(),
+// adapt() and rebalance() never walk idle-and-swapped sessions.
 //
 //   core::ClusterOptions copts;
 //   copts.workers = 4;
@@ -79,6 +86,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/server.h"
@@ -376,6 +384,16 @@ class Cluster {
   /// migration disabled.
   std::int64_t adapt();
 
+  /// Recounts the scheduling bookkeeping from tenants_ and throws
+  /// ContractViolation on the first mismatch: every open tenant sits in
+  /// exactly its own worker's slot list, each worker's runnable count equals
+  /// its non-idle tenants, the resident set holds exactly the tenants with
+  /// a live Stream (swapped ones idle), and the name index and footprint
+  /// estimator hold exactly the open sessions. Audit builds
+  /// (-DCCS_AUDIT=ON) run it at run_until_idle/run_threads entry; tests may
+  /// call it in any build.
+  void audit_invariants() const;
+
   /// Moves tenant `id` to worker `target`. Moving a tenant to its current
   /// worker is a no-op, counted in ClusterReport::migration_noops and never
   /// in `migrations`. Throws ccs::Error naming the live tenants for an
@@ -395,19 +413,19 @@ class Cluster {
 
  private:
   struct Tenant {
+    TenantId id = kNoTenant;
     std::string name;
+    /// Built once at admission, engine.address_base baked in; serves the
+    /// first Stream and every rehydration (see Server::Tenant).
+    std::shared_ptr<const StreamPlan> plan;
     std::unique_ptr<Stream> stream;  ///< Null while swapped out.
     WorkerId worker = kNoWorker;
-    bool idle = false;  ///< Known-blocked until new arrivals.
+    /// Known-blocked until new arrivals. Change it only through
+    /// mark_idle/mark_runnable (and worker_step), which keep the worker's
+    /// runnable count in step.
+    bool idle = false;
     std::int64_t migrations = 0;
     std::int64_t band = 0;          ///< Address-band index.
-    std::int64_t layout_words = 0;  ///< Resident footprint (state + rings).
-
-    // Rebuild inputs for rehydration (see Server::Tenant).
-    sdf::SdfGraph graph;
-    partition::Partition partition;
-    StreamOptions stream_options;  ///< With engine.address_base baked in.
-    std::int64_t m = 0;
 
     // Report summary cached at swap-out so report() never rehydrates.
     runtime::RunResult totals;
@@ -418,8 +436,11 @@ class Cluster {
   /// Per-worker scheduling state. In thread mode each worker's struct is
   /// touched only by its own thread (tenants never span workers).
   struct Worker {
-    std::vector<TenantId> tenants;  ///< Placement, in arrival-at-worker order.
+    /// Placement, in arrival-at-worker order. Points into tenants_, whose
+    /// std::map nodes never move.
+    std::vector<Tenant*> tenants;
     std::size_t cursor = 0;         ///< Rotation point into `tenants`.
+    std::int64_t runnable = 0;      ///< Non-idle entries of `tenants`.
     std::int64_t busy = 0;          ///< Modeled cycles executed here (the virtual clock).
     std::int64_t steps = 0;         ///< Tenant steps granted here.
     latency::Histogram latency;     ///< Step costs executed here.
@@ -427,8 +448,14 @@ class Cluster {
 
   /// THE shared code path of both execution modes: one multiplexing
   /// decision on worker `w` -- rotate to the next non-idle tenant placed
-  /// here, step it, account the work. False when every tenant here is idle.
+  /// here, step it, account the work. False when every tenant here is idle,
+  /// at once when the worker's runnable count is zero.
   bool worker_step(WorkerId w);
+
+  /// Idle transitions outside worker_step: set Tenant::idle and keep the
+  /// tenant's worker's runnable count in step.
+  void mark_idle(Tenant& t);
+  void mark_runnable(Tenant& t);
 
   Tenant& tenant(TenantId id);
   const Tenant& tenant(TenantId id) const;
@@ -465,6 +492,12 @@ class Cluster {
   std::unique_ptr<PlacementPolicy> policy_;
   std::unique_ptr<session::AdmissionPolicy> admission_;
   std::map<TenantId, Tenant> tenants_;  ///< Open sessions only, O(live+swapped).
+  /// The resident (not swapped) subset of tenants_, in id order: what
+  /// swap-out, footprint observation, migration triggers, rebalancing and
+  /// worker statuses walk, so their cost follows resident sessions, not
+  /// open ones.
+  std::map<TenantId, Tenant*> resident_;
+  std::unordered_set<std::string> names_;  ///< Names of open sessions.
   TenantId next_id_ = 0;                ///< Ids are never reused.
   std::set<std::int64_t> free_bands_;   ///< Bands returned by close().
   std::int64_t next_band_ = 0;

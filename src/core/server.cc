@@ -150,16 +150,12 @@ TenantId Server::admit(std::string name, const sdf::SdfGraph& g,
   }
   const std::int64_t effective_m = m > 0 ? m : options_.cache.capacity_words;
 
-  // Price the candidate before building anything: the admission decision
-  // needs its layout footprint, which is a pure function of the graph and
-  // the online policy's buffer capacities.
-  schedule::OnlineContext ctx;
-  ctx.m = effective_m;
-  const auto pricing_policy =
-      schedule::OnlineRegistry::global().build(options.policy, g, p, ctx);
-  const std::int64_t layout_words = runtime::layout_footprint_words(
-      g, pricing_policy->buffer_caps(), options_.cache.block_words,
-      options.engine.block_align_buffers);
+  // Build the session's plan and price it before building anything else:
+  // the admission decision needs its layout footprint, a pure function of
+  // the graph and the online policy's buffer capacities.
+  auto plan = std::make_shared<StreamPlan>(g, p, effective_m, options_.cache.block_words,
+                                           std::move(options));
+  const std::int64_t layout_words = plan->layout->footprint_words();
   if (layout_words > options_.band_words) {
     throw Error("session layout (" + std::to_string(layout_words) +
                 " words) exceeds band_words (" + std::to_string(options_.band_words) +
@@ -204,17 +200,13 @@ TenantId Server::admit(std::string name, const sdf::SdfGraph& g,
     }
     band = next_band_++;
   }
-  options.engine.address_base = band * options_.band_words;
+  plan->options.engine.address_base = band * options_.band_words;
 
   Tenant t;
   t.name = std::move(name);
   t.band = band;
-  t.layout_words = layout_words;
-  t.graph = g;
-  t.partition = p;
-  t.stream_options = options;
-  t.m = effective_m;
-  t.stream = std::make_unique<Stream>(g, p, *cache_, effective_m, std::move(options));
+  t.plan = std::move(plan);
+  t.stream = std::make_unique<Stream>(t.plan, *cache_);
   CCS_CHECK(t.stream->layout_span().words == layout_words,
             "admission pricing disagrees with the built engine's layout");
 
@@ -292,9 +284,9 @@ void Server::swap_out_tenant(TenantId id, Tenant& t) {
   CCS_AUDIT(image.unpack() == snapshot,
             "swap image does not round-trip the session snapshot");
   swap_.swap_out(id, std::move(image));
-  t.stream.reset();  // frees the engine, channels, and policy
+  t.stream.reset();  // frees the engine's channels and counters; the plan stays
   t.idle = true;     // swapped sessions are idle by construction
-  lifecycle_.on_nonresident(t.layout_words);
+  lifecycle_.on_nonresident(t.plan->layout->footprint_words());
   ++lifecycle_.swapped_sessions;
   ++lifecycle_.swap_outs;
 }
@@ -305,15 +297,13 @@ void Server::rehydrate(TenantId id, Tenant& t) {
   // Rebuilding the Stream issues no cache traffic, and restore_state only
   // rewrites host-side counters -- the simulated cache is untouched, so
   // the rehydrated session behaves bit-identically to one never swapped.
-  StreamOptions options = t.stream_options;
-  t.stream = std::make_unique<Stream>(t.graph, t.partition, *cache_, t.m,
-                                      std::move(options));
+  t.stream = std::make_unique<Stream>(t.plan, *cache_);
   StreamState state;
   state.engine = snapshot.engine;
   state.totals = snapshot.totals;
   state.steps = snapshot.steps;
   t.stream->restore_state(state);
-  lifecycle_.on_resident(t.layout_words);
+  lifecycle_.on_resident(t.plan->layout->footprint_words());
   --lifecycle_.swapped_sessions;
   ++lifecycle_.swap_ins;
 }
@@ -347,7 +337,7 @@ void Server::close(TenantId id) {
   Tenant& t = it->second;
   if (t.stream != nullptr) {
     retired_ += t.stream->stats();
-    lifecycle_.on_nonresident(t.layout_words);
+    lifecycle_.on_nonresident(t.plan->layout->footprint_words());
   } else {
     // Swapped: the cached summary holds the totals; drop the image.
     retired_ += t.totals;

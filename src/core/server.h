@@ -21,12 +21,12 @@
 //     the least-recently-active *idle* session to the swap tier and retries
 //     (counted admissions_queued); with no victim available the admission
 //     is rejected (admissions_rejected) and admit() returns kNoTenant.
-//   * A swapped session is a compact session::SwapImage plus the inputs
-//     needed to rebuild its Stream; it keeps its tenant id, its address
-//     band, and its slot in the multiplexing order (as an idle tenant), so
-//     a swap-on run's per-tenant counters are bit-identical to a swap-off
-//     run's -- rehydration (transparent, on the next push) rebuilds the
-//     engine without a single cache access.
+//   * A swapped session is a compact session::SwapImage plus its
+//     StreamPlan (built once at admission); it keeps its tenant id, its
+//     address band, and its slot in the multiplexing order (as an idle
+//     tenant), so a swap-on run's per-tenant counters are bit-identical to
+//     a swap-off run's -- rehydration (transparent, on the next push)
+//     instantiates the plan without a single cache access.
 //   * close() retires a session forever: its totals fold into the report's
 //     `retired` aggregate, its address band returns to the free list, and
 //     its id is rejected from then on (with an error naming the live
@@ -273,15 +273,11 @@ class Server {
     bool idle = false;           ///< Known-blocked until new arrivals.
     double last_miss_rate = 0.0;
     std::int64_t band = 0;          ///< Address-band index (base = band * band_words).
-    std::int64_t layout_words = 0;  ///< Resident footprint (state + rings).
 
-    // Rebuild inputs for rehydration: a Stream is a pure function of
-    // (graph, partition, m, options) plus the mutable state in the swap
-    // image, so keeping these makes the swap tier transparent.
-    sdf::SdfGraph graph;
-    partition::Partition partition;
-    StreamOptions stream_options;  ///< With engine.address_base baked in.
-    std::int64_t m = 0;
+    /// Built once at admission (engine.address_base baked in): a Stream is
+    /// this plan plus the mutable state in the swap image, so keeping it
+    /// makes the swap tier transparent and rehydration cheap.
+    std::shared_ptr<const StreamPlan> plan;
 
     // Report summary cached at swap-out so report() never rehydrates.
     runtime::RunResult totals;

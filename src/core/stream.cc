@@ -22,36 +22,49 @@ class Stream::EngineBackedView final : public schedule::EngineView {
   const runtime::Engine* engine_;
 };
 
-Stream::Stream(sdf::SdfGraph g, const partition::Partition& p, std::int64_t m,
-               std::unique_ptr<iomodel::CacheSim> owned, iomodel::CacheSim* shared,
-               StreamOptions options, const schedule::OnlineRegistry* registry)
-    : graph_(std::move(g)),
-      options_(std::move(options)),
-      owned_cache_(std::move(owned)),
-      cache_(owned_cache_ != nullptr ? owned_cache_.get() : shared) {
-  CCS_EXPECTS(options_.max_pending_inputs >= 0, "negative backpressure bound");
+StreamPlan::StreamPlan(const sdf::SdfGraph& g, const partition::Partition& p,
+                       std::int64_t m, std::int64_t block_words, StreamOptions opts,
+                       const schedule::OnlineRegistry* registry)
+    : graph(g), options(std::move(opts)) {
+  CCS_EXPECTS(options.max_pending_inputs >= 0, "negative backpressure bound");
   const schedule::OnlineRegistry& reg =
       registry != nullptr ? *registry : schedule::OnlineRegistry::global();
   schedule::OnlineContext ctx;
   ctx.m = m;
-  policy_ = reg.build(options_.policy, graph_, p, ctx);
-  options_.engine.credit_input = true;  // a Stream is always metered
-  engine_ = std::make_unique<runtime::Engine>(graph_, policy_->buffer_caps(), *cache_,
-                                              options_.engine);
+  policy = reg.build(options.policy, graph, p, ctx);
+  options.engine.credit_input = true;  // a Stream is always metered
+  layout = std::make_shared<const runtime::EngineLayout>(
+      graph, policy->buffer_caps(), block_words, options.engine.block_align_buffers);
+}
+
+Stream::Stream(std::shared_ptr<const StreamPlan> plan, std::unique_ptr<iomodel::CacheSim> owned,
+               iomodel::CacheSim* shared)
+    : plan_(std::move(plan)),
+      owned_cache_(std::move(owned)),
+      cache_(owned_cache_ != nullptr ? owned_cache_.get() : shared) {
+  CCS_EXPECTS(plan_ != nullptr, "a stream needs a plan");
+  engine_ = std::make_unique<runtime::Engine>(plan_->layout, *cache_, plan_->options.engine);
   view_ = std::make_unique<EngineBackedView>(*engine_);
 }
+
+Stream::Stream(std::shared_ptr<const StreamPlan> plan, iomodel::CacheSim& cache)
+    : Stream(std::move(plan), nullptr, &cache) {}
 
 Stream::Stream(const sdf::SdfGraph& g, const partition::Partition& p,
                const iomodel::CacheConfig& cache, StreamOptions options,
                const schedule::OnlineRegistry* registry)
-    : Stream(g, p, cache.capacity_words,
-             (validate_cache_geometry(cache), std::make_unique<iomodel::LruCache>(cache)),
-             nullptr, std::move(options), registry) {}
+    : Stream((validate_cache_geometry(cache),
+              std::make_shared<const StreamPlan>(g, p, cache.capacity_words,
+                                                 cache.block_words, std::move(options),
+                                                 registry)),
+             std::make_unique<iomodel::LruCache>(cache), nullptr) {}
 
 Stream::Stream(const sdf::SdfGraph& g, const partition::Partition& p,
                iomodel::CacheSim& cache, std::int64_t m, StreamOptions options,
                const schedule::OnlineRegistry* registry)
-    : Stream(g, p, m, nullptr, &cache, std::move(options), registry) {}
+    : Stream(std::make_shared<const StreamPlan>(g, p, m, cache.config().block_words,
+                                                std::move(options), registry),
+             cache) {}
 
 Stream::Stream(const Planner& planner, const Plan& plan, StreamOptions options)
     : Stream(planner.graph(), plan.partition, planner.options().cache,
@@ -62,10 +75,9 @@ Stream::~Stream() = default;
 std::int64_t Stream::push(std::int64_t items) {
   CCS_EXPECTS(items >= 0, "cannot push a negative number of items");
   std::int64_t accepted = items;
-  if (options_.max_pending_inputs > 0) {
-    accepted = std::min(accepted,
-                        std::max<std::int64_t>(
-                            0, options_.max_pending_inputs - pending_inputs()));
+  const std::int64_t bound = plan_->options.max_pending_inputs;
+  if (bound > 0) {
+    accepted = std::min(accepted, std::max<std::int64_t>(0, bound - pending_inputs()));
   }
   engine_->push_input(accepted);
   return accepted;
@@ -73,7 +85,7 @@ std::int64_t Stream::push(std::int64_t items) {
 
 StepResult Stream::step() {
   StepResult result;
-  schedule::StepPlan plan = policy_->next_step(*view_);
+  schedule::StepPlan plan = plan_->policy->next_step(*view_);
   if (plan.idle()) return result;
   result.component = plan.component;
   // On a shared cache another tenant may have run since our last step; its
@@ -98,7 +110,7 @@ runtime::RunResult Stream::run_until_idle() {
 }
 
 runtime::RunResult Stream::drain() {
-  const std::vector<sdf::NodeId> plan = policy_->plan_drain(*view_);
+  const std::vector<sdf::NodeId> plan = plan_->policy->plan_drain(*view_);
   engine_->resync_cache_baseline();
   runtime::RunResult result = engine_->run(plan);
   if (cost_model_ != nullptr) {
@@ -140,8 +152,8 @@ runtime::FootprintSample Stream::footprint_sample() const noexcept {
   return sample;
 }
 
-std::int64_t Stream::inputs_consumed() const { return engine_->fired(policy_->source()); }
+std::int64_t Stream::inputs_consumed() const { return engine_->fired(plan_->policy->source()); }
 
-std::int64_t Stream::outputs_produced() const { return engine_->fired(policy_->sink()); }
+std::int64_t Stream::outputs_produced() const { return engine_->fired(plan_->policy->sink()); }
 
 }  // namespace ccs::core

@@ -57,12 +57,43 @@ struct StreamOptions {
   runtime::EngineOptions engine;
 };
 
+/// Everything about a session that is a pure function of its construction
+/// inputs (graph, partition, M, options, cache block size): the session's
+/// own copy of the graph, the online policy's analysis of it (repetition
+/// vector, topological order, buffer capacities, component members), and
+/// the engine's relative memory layout with its firing plans. Building it
+/// is the expensive part of starting a session; instantiating a Stream from
+/// it only allocates the mutable per-run state. core::Server and
+/// core::Cluster build one per session at admission, price the session with
+/// it, and instantiate both the first Stream and every swap-tier
+/// rehydration from it. The policy's planning scratch lives here, so a plan
+/// must serve one session (one live Stream) at a time -- never two tenants.
+struct StreamPlan {
+  /// Throws what the policy or the layout throws for a graph or partition
+  /// outside the rule's class, and ccs::Error for a negative backpressure
+  /// bound. `registry` defaults to schedule::OnlineRegistry::global().
+  StreamPlan(const sdf::SdfGraph& g, const partition::Partition& p, std::int64_t m,
+             std::int64_t block_words, StreamOptions options,
+             const schedule::OnlineRegistry* registry = nullptr);
+
+  // The policy and the layout point into `graph`.
+  StreamPlan(const StreamPlan&) = delete;
+  StreamPlan& operator=(const StreamPlan&) = delete;
+
+  sdf::SdfGraph graph;
+  /// engine.credit_input is forced on. engine.address_base may still be set
+  /// before the first Stream is built from the plan: the layout is relative.
+  StreamOptions options;
+  std::unique_ptr<schedule::OnlinePolicy> policy;
+  std::shared_ptr<const runtime::EngineLayout> layout;
+};
+
 /// The complete mutable state of a Stream at a quiescent point: the
 /// engine's execution state plus the session-level accumulators. An
 /// OnlinePolicy keeps no cross-step state (it replans from the live
-/// EngineView on every call), so rebuilding the policy from
-/// (graph, partition, m) reproduces identical decisions and nothing of it
-/// needs saving — this struct plus the construction inputs IS the session.
+/// EngineView on every call), so a Stream rebuilt from the same StreamPlan
+/// makes identical decisions and nothing of the policy needs saving — this
+/// struct plus the plan IS the session.
 /// session::SwapImage packs it into a compact byte buffer.
 struct StreamState {
   runtime::EngineState engine;
@@ -82,10 +113,11 @@ struct StepResult {
   bool progressed() const noexcept { return component != schedule::kNoComponent; }
 };
 
-/// One online streaming session: graph + partition + online policy + a
-/// credit-metered engine. Self-contained (the graph is copied); not
-/// thread-safe -- one session belongs to one driver (core::Server
-/// serializes access for shared-cache tenants).
+/// One online streaming session: a StreamPlan (graph + online policy +
+/// engine layout) instantiated on a cache as a credit-metered engine.
+/// Self-contained (the plan owns a copy of the graph); not thread-safe --
+/// one session belongs to one driver (core::Server serializes access for
+/// shared-cache tenants).
 class Stream {
  public:
   /// Standalone session owning a fresh fully-associative LRU cache of
@@ -106,6 +138,11 @@ class Stream {
   /// geometry (the common "plan it, then serve it" path).
   Stream(const Planner& planner, const Plan& plan, StreamOptions options = {});
 
+  /// Instantiates a prebuilt plan on a shared cache (which must outlive the
+  /// stream and have the plan's block size) with fresh execution state. The
+  /// constructors above build a plan and then do exactly this.
+  Stream(std::shared_ptr<const StreamPlan> plan, iomodel::CacheSim& cache);
+
   ~Stream();  // out of line: members are incomplete types here
 
   /// Admits up to `items` arrivals, returning how many were accepted --
@@ -118,8 +155,8 @@ class Stream {
 
   /// True when push() would refuse at least one item.
   bool backpressured() const noexcept {
-    return options_.max_pending_inputs > 0 &&
-           pending_inputs() >= options_.max_pending_inputs;
+    return plan_->options.max_pending_inputs > 0 &&
+           pending_inputs() >= plan_->options.max_pending_inputs;
   }
 
   /// Runs the next schedulable component execution (the policy's unit of
@@ -177,31 +214,28 @@ class Stream {
 
   /// Captures the session's complete mutable state at a quiescent point
   /// (between steps). The swap tier destroys the Stream afterwards and
-  /// rebuilds it from the same (graph, partition, m, options) later.
+  /// rebuilds it from the same StreamPlan later.
   StreamState save_state() const;
 
   /// Restores a save_state() capture into a freshly constructed twin
-  /// (same graph, partition, m, and options). No cache traffic; after it,
+  /// (built from the same plan, or an equal one). No cache traffic; after it,
   /// pushes and steps behave bit-identically to a never-destroyed session.
   void restore_state(const StreamState& state);
 
-  const schedule::OnlinePolicy& policy() const noexcept { return *policy_; }
-  const sdf::SdfGraph& graph() const noexcept { return graph_; }
+  const schedule::OnlinePolicy& policy() const noexcept { return *plan_->policy; }
+  const sdf::SdfGraph& graph() const noexcept { return plan_->graph; }
   iomodel::CacheSim& cache() noexcept { return *cache_; }
 
  private:
   /// schedule::EngineView over the metered engine.
   class EngineBackedView;
 
-  Stream(sdf::SdfGraph g, const partition::Partition& p, std::int64_t m,
-         std::unique_ptr<iomodel::CacheSim> owned, iomodel::CacheSim* shared,
-         StreamOptions options, const schedule::OnlineRegistry* registry);
+  Stream(std::shared_ptr<const StreamPlan> plan, std::unique_ptr<iomodel::CacheSim> owned,
+         iomodel::CacheSim* shared);
 
-  sdf::SdfGraph graph_;
-  StreamOptions options_;
+  std::shared_ptr<const StreamPlan> plan_;
   std::unique_ptr<iomodel::CacheSim> owned_cache_;  ///< Null for shared-cache sessions.
   iomodel::CacheSim* cache_;
-  std::unique_ptr<schedule::OnlinePolicy> policy_;
   std::unique_ptr<runtime::Engine> engine_;
   std::unique_ptr<EngineBackedView> view_;
   const latency::CostModel* cost_model_ = nullptr;  ///< Not owned; may be null.

@@ -33,7 +33,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 namespace ccs::placement {
 
@@ -70,21 +70,30 @@ struct FootprintObservation {
   std::int64_t resident_words = 0;  ///< Layout words currently cache-resident.
 };
 
-/// Tracks the live working set of a fleet of sessions. Sessions are dense
-/// indices in add_session() order (core::Cluster aligns them with its
-/// TenantIds). Deterministic: identical observation sequences produce
-/// identical estimates.
+/// Tracks the live working set of a fleet of open sessions, keyed by the
+/// caller's session id (core::Cluster uses its TenantIds). Holds one entry
+/// per open session: the caller removes a session when it closes, so memory
+/// follows open sessions, not sessions ever opened. Deterministic:
+/// identical observation sequences produce identical estimates.
 class FootprintEstimator {
  public:
   explicit FootprintEstimator(FootprintConfig config = {});
 
-  /// Registers a session. `layout_words` is the gain-analysis seed (state +
-  /// channel rings, the Stream's layout span); `state_words` is the module
-  /// state share, kept as the floor of the live estimate while the session
-  /// is active (a freshly migrated session has nothing resident yet but
-  /// will reload at least its state). Returns the session's index.
-  std::int32_t add_session(std::int64_t layout_words, std::int64_t state_words);
+  /// Registers session `session` (which must not be registered already).
+  /// `layout_words` is the gain-analysis seed (state + channel rings, the
+  /// Stream's layout span); `state_words` is the module state share, kept
+  /// as the floor of the live estimate while the session is active (a
+  /// freshly migrated session has nothing resident yet but will reload at
+  /// least its state).
+  void add_session(std::int32_t session, std::int64_t layout_words,
+                   std::int64_t state_words);
 
+  /// Forgets a registered session.
+  void remove_session(std::int32_t session);
+
+  bool contains(std::int32_t session) const { return sessions_.count(session) != 0; }
+
+  /// Registered (open) sessions.
   std::int32_t session_count() const noexcept {
     return static_cast<std::int32_t>(sessions_.size());
   }
@@ -129,7 +138,7 @@ class FootprintEstimator {
   const Session& session(std::int32_t s) const;
 
   FootprintConfig config_;
-  std::vector<Session> sessions_;
+  std::unordered_map<std::int32_t, Session> sessions_;  ///< Looked up, never walked.
 };
 
 /// Automatic-migration triggers for the cluster's "adaptive" placement key.

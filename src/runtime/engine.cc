@@ -1,9 +1,11 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/contracts.h"
 #include "util/error.h"
+#include "util/int_math.h"
 
 namespace ccs::runtime {
 
@@ -16,46 +18,26 @@ constexpr iomodel::Addr kExternalOutBase = iomodel::Addr{1} << 41;
 
 }  // namespace
 
-std::int64_t layout_footprint_words(const sdf::SdfGraph& g,
-                                    std::span<const std::int64_t> buffer_caps,
-                                    std::int64_t block_words,
-                                    bool block_align_buffers) {
-  CCS_EXPECTS(buffer_caps.size() == static_cast<std::size_t>(g.edge_count()),
-              "one buffer capacity per edge required");
-  // Mirrors the constructor's allocation sequence exactly: state regions
-  // block-aligned, channel rings packed unless block_align_buffers.
-  iomodel::MemoryLayout layout(block_words, 0);
-  for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
-    layout.allocate(g.node(v).state, "state");
-  }
-  for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
-    layout.allocate(buffer_caps[static_cast<std::size_t>(e)], "buf", block_align_buffers);
-  }
-  return layout.footprint();
-}
-
-Engine::Engine(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
-               iomodel::CacheSim& cache, EngineOptions options)
+EngineLayout::EngineLayout(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
+                           std::int64_t block_words, bool block_align_buffers)
     : graph_(&g),
-      cache_(&cache),
-      options_(options),
-      layout_(cache.config().block_words, options.address_base) {
+      block_words_(block_words),
+      block_align_buffers_(block_align_buffers),
+      caps_(std::move(buffer_caps)) {
   CCS_EXPECTS(g.node_count() > 0, "cannot build an engine for an empty graph");
-  CCS_EXPECTS(options_.address_base >= 0 && options_.address_base < kExternalInBase,
-              "address base must stay below the external-stream bands");
-  CCS_EXPECTS(buffer_caps.size() == static_cast<std::size_t>(g.edge_count()),
+  CCS_EXPECTS(caps_.size() == static_cast<std::size_t>(g.edge_count()),
               "one buffer capacity per edge required");
-
+  iomodel::MemoryLayout layout(block_words, 0);
   std::vector<iomodel::Region> state;
   state.reserve(static_cast<std::size_t>(g.node_count()));
   for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
-    state.push_back(layout_.allocate(g.node(v).state, "state:" + g.node(v).name));
+    state.push_back(layout.allocate(g.node(v).state, "state"));
     state_words_ += g.node(v).state;
   }
-  channels_.reserve(static_cast<std::size_t>(g.edge_count()));
+  rings_.reserve(static_cast<std::size_t>(g.edge_count()));
   for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
     const sdf::Edge& edge = g.edge(e);
-    const std::int64_t cap = buffer_caps[static_cast<std::size_t>(e)];
+    const std::int64_t cap = caps_[static_cast<std::size_t>(e)];
     if (cap < std::max(edge.out_rate, edge.in_rate)) {
       throw ScheduleError("buffer on " + g.node(edge.src).name + " -> " +
                           g.node(edge.dst).name + " (capacity " + std::to_string(cap) +
@@ -64,29 +46,16 @@ Engine::Engine(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
     // Buffers are packed (not block-aligned) by default: dozens of one-word
     // minimal channels must not consume a cache block each, or the paper's
     // sum(minBuf) = O(state) assumption silently becomes O(edges * B).
-    channels_.emplace_back(
-        layout_.allocate(cap, "buf:" + g.node(edge.src).name + ">" + g.node(edge.dst).name,
-                         options_.block_align_buffers),
-        cap);
+    rings_.push_back(layout.allocate(cap, "buf", block_align_buffers));
   }
-  // The whole state/buffer layout must sit below the external-stream bands,
-  // or a co-resident engine's regions would silently alias another's
-  // external streams instead of contending for blocks.
-  CCS_EXPECTS(layout_.footprint() <= kExternalInBase,
-              "state/buffer layout overflows into the external-stream bands "
-              "(address base too high for this graph's footprint)");
-  fired_.assign(static_cast<std::size_t>(g.node_count()), 0);
-  node_miss_base_.assign(static_cast<std::size_t>(g.node_count()), 0);
-  sizes_scratch_.assign(static_cast<std::size_t>(g.edge_count()), 0);
+  footprint_words_ = layout.footprint();
 
   const auto sources = g.sources();
   const auto sinks = g.sinks();
   if (sources.size() == 1) source_ = sources.front();
   if (sinks.size() == 1) sink_ = sinks.front();
-  external_in_ = iomodel::Region{kExternalInBase + options_.address_base, 0};
-  external_out_ = iomodel::Region{kExternalOutBase + options_.address_base, 0};
 
-  // Precompute one firing plan per module so fire() never walks the graph.
+  // One firing plan per module so a firing never walks the graph.
   plans_.resize(static_cast<std::size_t>(g.node_count()));
   for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
     FiringPlan& plan = plans_[static_cast<std::size_t>(v)];
@@ -104,6 +73,50 @@ Engine::Engine(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
     plan.is_source = v == source_;
     plan.is_sink = v == sink_;
   }
+}
+
+Engine::Engine(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
+               iomodel::CacheSim& cache, EngineOptions options)
+    : Engine(std::make_shared<const EngineLayout>(g, std::move(buffer_caps),
+                                                  cache.config().block_words,
+                                                  options.block_align_buffers),
+             cache, options) {}
+
+Engine::Engine(std::shared_ptr<const EngineLayout> layout, iomodel::CacheSim& cache,
+               EngineOptions options)
+    : layout_(std::move(layout)),
+      graph_(&layout_->graph()),
+      cache_(&cache),
+      options_(options),
+      plans_(layout_->plans().data()),
+      in_ports_(layout_->in_ports().data()),
+      out_ports_(layout_->out_ports().data()) {
+  CCS_EXPECTS(options_.address_base >= 0 && options_.address_base < kExternalInBase,
+              "address base must stay below the external-stream bands");
+  CCS_EXPECTS(layout_->block_words() == cache.config().block_words,
+              "engine layout was built for a different block size");
+  CCS_EXPECTS(layout_->block_align_buffers() == options_.block_align_buffers,
+              "engine layout was built with different buffer packing");
+  base_ = round_up(options_.address_base, layout_->block_words());
+  // The whole state/buffer layout must sit below the external-stream bands,
+  // or a co-resident engine's regions would silently alias another's
+  // external streams instead of contending for blocks.
+  CCS_EXPECTS(layout_->footprint_words() <= kExternalInBase - base_,
+              "state/buffer layout overflows into the external-stream bands "
+              "(address base too high for this graph's footprint)");
+  const std::vector<iomodel::Region>& rings = layout_->rings();
+  channels_.reserve(rings.size());
+  for (std::size_t e = 0; e < rings.size(); ++e) {
+    channels_.emplace_back(iomodel::Region{base_ + rings[e].base, rings[e].words},
+                           layout_->buffer_caps()[e]);
+  }
+  fired_.assign(static_cast<std::size_t>(graph_->node_count()), 0);
+  node_miss_base_.assign(static_cast<std::size_t>(graph_->node_count()), 0);
+  sizes_scratch_.assign(rings.size(), 0);
+  source_ = layout_->source();
+  sink_ = layout_->sink();
+  external_in_ = iomodel::Region{kExternalInBase + options_.address_base, 0};
+  external_out_ = iomodel::Region{kExternalOutBase + options_.address_base, 0};
 }
 
 bool Engine::can_fire(sdf::NodeId v) const {
@@ -214,7 +227,8 @@ void Engine::fire_unchecked(sdf::NodeId v) {
   // State regions are block-aligned, so the span touches exactly
   // ceil(state/B) blocks in one bulk transaction.
   if (plan.state.words > 0) {
-    cache_->access_span(plan.state.base, plan.state.words, iomodel::AccessMode::kRead);
+    cache_->access_span(base_ + plan.state.base, plan.state.words,
+                        iomodel::AccessMode::kRead);
   }
   const std::int64_t after_state = stats.misses;
   for (std::int32_t i = plan.out_begin; i < plan.out_end; ++i) {
@@ -286,9 +300,9 @@ void Engine::audit_invariants() const {
   // into the flattened port arrays, and every port must name a real channel
   // with a positive rate -- fire_unchecked indexes through these with no
   // bounds checks of its own.
-  const auto in_count = static_cast<std::int32_t>(in_ports_.size());
-  const auto out_count = static_cast<std::int32_t>(out_ports_.size());
-  for (const FiringPlan& plan : plans_) {
+  const auto in_count = static_cast<std::int32_t>(layout_->in_ports().size());
+  const auto out_count = static_cast<std::int32_t>(layout_->out_ports().size());
+  for (const FiringPlan& plan : layout_->plans()) {
     CCS_CHECK(plan.in_begin >= 0 && plan.in_begin <= plan.in_end && plan.in_end <= in_count,
               "firing plan input span outside the flattened port array");
     CCS_CHECK(plan.out_begin >= 0 && plan.out_begin <= plan.out_end &&
@@ -297,12 +311,12 @@ void Engine::audit_invariants() const {
     CCS_CHECK(plan.state.words >= 0, "firing plan names a negative-size state region");
   }
   const auto channel_count = static_cast<std::int32_t>(channels_.size());
-  for (const Port& p : in_ports_) {
+  for (const Port& p : layout_->in_ports()) {
     CCS_CHECK(p.channel >= 0 && p.channel < channel_count,
               "input port names a channel outside the engine");
     CCS_CHECK(p.rate > 0, "input port rate must be positive");
   }
-  for (const Port& p : out_ports_) {
+  for (const Port& p : layout_->out_ports()) {
     CCS_CHECK(p.channel >= 0 && p.channel < channel_count,
               "output port names a channel outside the engine");
     CCS_CHECK(p.rate > 0, "output port rate must be positive");
@@ -320,7 +334,7 @@ RunResult Engine::snapshot() const { return delta_counters(); }
 FootprintSample Engine::footprint_sample() const noexcept {
   FootprintSample sample;
   sample.layout_words = layout_span().words;
-  sample.state_words = state_words_;
+  sample.state_words = layout_->state_words();
   sample.accesses = cache_->stats().accesses;
   sample.misses = cache_->stats().misses;
   return sample;

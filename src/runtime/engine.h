@@ -23,9 +23,10 @@
 //    credit_input), and snapshot()/take() poll the counters accumulated
 //    since the last take without needing a run() boundary.
 //
-// Hot path: construction precomputes one FiringPlan per module (flattened
-// input/output port spans, the state region, source/sink flags), so a firing
-// never re-derives edge lists or rates from the graph. run() validates the
+// Hot path: an immutable EngineLayout precomputes one FiringPlan per module
+// (flattened input/output port spans, the state region, source/sink flags),
+// so a firing never re-derives edge lists or rates from the graph; engines
+// of one session share it. run() validates the
 // whole firing sequence once with a token-count replay (pure integer
 // arithmetic, no memory traffic) and then executes it through the unchecked
 // fast path; an infeasible sequence throws the same ScheduleError a
@@ -36,6 +37,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -117,27 +119,93 @@ struct EngineState {
   friend bool operator==(const EngineState&, const EngineState&) = default;
 };
 
-/// The layout footprint (state + channel rings, in words, including
-/// block-alignment padding) an Engine for (g, buffer_caps) would occupy,
-/// computed WITHOUT constructing an engine or touching any cache -- pure
-/// integer arithmetic over the same MemoryLayout allocation sequence the
-/// constructor performs from a block-aligned base. Admission control
-/// (session::AdmissionPolicy "bounded-memory") prices a session before
-/// deciding whether to build it.
-std::int64_t layout_footprint_words(const sdf::SdfGraph& g,
-                                    std::span<const std::int64_t> buffer_caps,
-                                    std::int64_t block_words,
-                                    bool block_align_buffers = false);
+/// The immutable half of an Engine, built once per (graph, buffer capacities,
+/// block size, packing): the memory layout of module state and channel
+/// rings, and one precomputed FiringPlan per module. Addresses are relative
+/// to a block-aligned base of 0; an Engine places the layout at its
+/// EngineOptions::address_base (rounded up to a block), which shifts every
+/// region by a whole number of blocks and so changes no block boundary.
+/// Building one is pure integer arithmetic with no cache traffic, so a
+/// session host prices a session's footprint with it before admitting the
+/// session, then instantiates every Engine of that session (the first and
+/// each swap-tier rehydration) from the same layout. `g` must outlive it.
+class EngineLayout {
+ public:
+  /// One side of a module's channel connections, flattened for the hot
+  /// loop. `channel` doubles as the EdgeId (an engine's channels are
+  /// indexed by edge).
+  struct Port {
+    std::int32_t channel;  ///< Channel index == sdf::EdgeId.
+    std::int64_t rate;     ///< Tokens moved per firing.
+  };
+
+  /// Everything a firing needs. Ports live in the shared in_ports()/
+  /// out_ports() arrays; each plan owns a span of them.
+  struct FiringPlan {
+    std::int32_t in_begin = 0, in_end = 0;    ///< [begin, end) into in_ports().
+    std::int32_t out_begin = 0, out_end = 0;  ///< [begin, end) into out_ports().
+    iomodel::Region state;                    ///< Relative to the layout base.
+    bool is_source = false;
+    bool is_sink = false;
+  };
+
+  /// `buffer_caps[e]` is the ring capacity (in tokens) of edge e; it must be
+  /// at least max(out_rate, in_rate) of that edge (ScheduleError otherwise).
+  /// State regions are block-aligned; rings are packed unless
+  /// `block_align_buffers`.
+  EngineLayout(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
+               std::int64_t block_words, bool block_align_buffers = false);
+
+  const sdf::SdfGraph& graph() const noexcept { return *graph_; }
+  std::int64_t block_words() const noexcept { return block_words_; }
+  bool block_align_buffers() const noexcept { return block_align_buffers_; }
+
+  /// Words spanned by state and rings, including alignment padding -- the
+  /// resident footprint admission control charges for the session.
+  std::int64_t footprint_words() const noexcept { return footprint_words_; }
+
+  /// Module-state share of the footprint.
+  std::int64_t state_words() const noexcept { return state_words_; }
+
+  const std::vector<std::int64_t>& buffer_caps() const noexcept { return caps_; }
+  const std::vector<iomodel::Region>& rings() const noexcept { return rings_; }
+  const std::vector<FiringPlan>& plans() const noexcept { return plans_; }
+  const std::vector<Port>& in_ports() const noexcept { return in_ports_; }
+  const std::vector<Port>& out_ports() const noexcept { return out_ports_; }
+
+  /// The graph's unique source/sink, or sdf::kInvalidNode when it has
+  /// several.
+  sdf::NodeId source() const noexcept { return source_; }
+  sdf::NodeId sink() const noexcept { return sink_; }
+
+ private:
+  const sdf::SdfGraph* graph_;
+  std::int64_t block_words_;
+  bool block_align_buffers_;
+  std::vector<std::int64_t> caps_;
+  std::vector<iomodel::Region> rings_;  ///< Per edge, relative.
+  std::vector<FiringPlan> plans_;       ///< Per node.
+  std::vector<Port> in_ports_;          ///< All input ports, grouped by node.
+  std::vector<Port> out_ports_;         ///< All output ports, grouped by node.
+  std::int64_t footprint_words_ = 0;
+  std::int64_t state_words_ = 0;
+  sdf::NodeId source_ = sdf::kInvalidNode;
+  sdf::NodeId sink_ = sdf::kInvalidNode;
+};
 
 /// Executes firing sequences for one graph + buffer-capacity assignment.
 class Engine {
  public:
-  /// `buffer_caps[e]` is the ring capacity (in tokens) of edge e; it must be
-  /// at least max(out_rate, in_rate) of that edge. The engine lays out all
-  /// state and buffers in the simulated address space. `cache` must outlive
-  /// the engine.
+  /// Builds an EngineLayout for (g, buffer_caps) on the cache's block size
+  /// and instantiates it. `g` and `cache` must outlive the engine.
   Engine(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
          iomodel::CacheSim& cache, EngineOptions options = {});
+
+  /// Instantiates a prebuilt layout at options.address_base. The layout's
+  /// block size must be the cache's and its packing must match
+  /// options.block_align_buffers. `cache` must outlive the engine.
+  Engine(std::shared_ptr<const EngineLayout> layout, iomodel::CacheSim& cache,
+         EngineOptions options = {});
 
   /// Sentinel input_credit() when the external input is not metered.
   static constexpr std::int64_t kUnlimitedCredit =
@@ -249,7 +317,7 @@ class Engine {
 
   const sdf::SdfGraph& graph() const noexcept { return *graph_; }
   iomodel::CacheSim& cache() noexcept { return *cache_; }
-  std::int64_t state_footprint() const noexcept { return state_words_; }
+  std::int64_t state_footprint() const noexcept { return layout_->state_words(); }
 
   /// Footprint snapshot for adaptive placement: the layout geometry plus the
   /// cache's lifetime counters. On a *dedicated* cache the counters are this
@@ -263,7 +331,7 @@ class Engine {
   /// much of this span their private cache holds.
   iomodel::Region layout_span() const noexcept {
     return iomodel::Region{options_.address_base,
-                           layout_.footprint() - options_.address_base};
+                           base_ + layout_->footprint_words() - options_.address_base};
   }
 
   /// Heavy cross-consistency walk of the execution state: every channel's
@@ -277,22 +345,8 @@ class Engine {
   void audit_invariants() const;
 
  private:
-  /// One side of a module's channel connections, flattened for the hot
-  /// loop. `channel` doubles as the EdgeId (channels_ is indexed by edge).
-  struct Port {
-    std::int32_t channel;  ///< Index into channels_ == sdf::EdgeId.
-    std::int64_t rate;     ///< Tokens moved per firing.
-  };
-
-  /// Everything a firing needs, precomputed at construction. Ports live in
-  /// the shared in_ports_/out_ports_ arrays; each plan owns a span of them.
-  struct FiringPlan {
-    std::int32_t in_begin = 0, in_end = 0;    ///< [begin, end) into in_ports_.
-    std::int32_t out_begin = 0, out_end = 0;  ///< [begin, end) into out_ports_.
-    iomodel::Region state;
-    bool is_source = false;
-    bool is_sink = false;
-  };
+  using Port = EngineLayout::Port;
+  using FiringPlan = EngineLayout::FiringPlan;
 
   /// Shared feasibility scan: returns the first port of v that cannot fire
   /// given per-channel token counts `size_of(channel)`, or nullptr if all
@@ -337,17 +391,19 @@ class Engine {
   /// Re-anchors every last_* baseline at the current lifetime counters.
   void advance_baselines();
 
+  std::shared_ptr<const EngineLayout> layout_;
   const sdf::SdfGraph* graph_;
   iomodel::CacheSim* cache_;
   EngineOptions options_;
-  iomodel::MemoryLayout layout_;
+  iomodel::Addr base_ = 0;            // block-aligned address_base; layout offsets add to it
+  // The layout's arrays, cached for the hot loop (the layout is immutable
+  // and outlives the engine through layout_).
+  const FiringPlan* plans_;           // per node
+  const Port* in_ports_;              // all input ports, grouped by node
+  const Port* out_ports_;             // all output ports, grouped by node
   std::vector<Channel> channels_;     // per edge
-  std::vector<FiringPlan> plans_;     // per node
-  std::vector<Port> in_ports_;        // all input ports, grouped by node
-  std::vector<Port> out_ports_;       // all output ports, grouped by node
   std::vector<std::int64_t> fired_;   // per node, lifetime
   std::vector<std::int64_t> sizes_scratch_;  // per edge, for validate_sequence
-  std::int64_t state_words_ = 0;
 
   sdf::NodeId source_ = sdf::kInvalidNode;
   sdf::NodeId sink_ = sdf::kInvalidNode;

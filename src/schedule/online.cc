@@ -113,7 +113,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     return k_ - 1;
   }
 
-  StepPlan next_step(const EngineView& view) override {
+  StepPlan next_step(const EngineView& view) const override {
     StepPlan plan;
     plan.component = next_component(view);
     plan_component(plan.component, view, plan.firings);
@@ -132,7 +132,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     return plan;
   }
 
-  std::vector<sdf::NodeId> plan_drain(const EngineView& view) override {
+  std::vector<sdf::NodeId> plan_drain(const EngineView& view) const override {
     // Align the source on a whole number of steady-state iterations, then
     // greedy-sweep the chain until nothing moves. With enough remaining
     // input credit (a batch driver always has it) this empties every
@@ -177,7 +177,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
   /// (the source limited to the remaining input credit), appending the
   /// firings. Leaves `out` untouched when c cannot move at all.
   void plan_component(std::int64_t c, const EngineView& view,
-                      std::vector<sdf::NodeId>& out) {
+                      std::vector<sdf::NodeId>& out) const {
     scratch_.seed(view);
     std::int64_t credit = view.input_credit();
     bool progressed = true;
@@ -203,7 +203,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
   std::vector<sdf::NodeId> chain_;
   std::vector<sdf::EdgeId> cross_;  ///< cross_[i] = edge from comp i to i+1.
   sdf::RepetitionVector reps_;
-  ScratchSim scratch_;
+  mutable ScratchSim scratch_;  ///< Planning scratch, reseeded on every call.
 };
 
 /// The asynchronous homogeneous-dag rule: incoming cross buffers full (M
@@ -247,7 +247,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
     return kNoComponent;
   }
 
-  StepPlan next_step(const EngineView& view) override {
+  StepPlan next_step(const EngineView& view) const override {
     StepPlan plan;
     plan.component = next_component(view);
     if (plan.component == kNoComponent) return plan;
@@ -261,7 +261,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
     return plan;
   }
 
-  std::vector<sdf::NodeId> plan_drain(const EngineView& view) override {
+  std::vector<sdf::NodeId> plan_drain(const EngineView& view) const override {
     // Drain component-major (run each component to exhaustion before moving
     // on) so every component's state is loaded O(1) times; the source admits
     // no new inputs while draining.
@@ -317,7 +317,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
 
   std::int64_t m_;
   std::vector<std::int32_t> comp_;  ///< node -> topologically renumbered component.
-  ScratchSim scratch_;
+  mutable ScratchSim scratch_;      ///< Planning scratch, reseeded on every call.
 };
 
 }  // namespace

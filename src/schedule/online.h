@@ -72,10 +72,13 @@ struct StepPlan {
   bool idle() const noexcept { return firings.empty(); }
 };
 
-/// A stateful online scheduling rule bound to one (graph, partition, M).
+/// An online scheduling rule bound to one (graph, partition, M).
 /// Construction validates the partition against the rule's requirements and
-/// fixes the buffer sizing; subsequent calls are pure planning against a
-/// caller-supplied view. The bound graph and partition must outlive the
+/// fixes the buffer sizing -- the graph analysis a session needs once; the
+/// planning calls are const and plan against a caller-supplied view, so one
+/// policy serves every incarnation of a session (core::StreamPlan). They
+/// share one internal token scratchpad, reseeded on every call: a policy
+/// must not plan on two threads at once. The bound graph must outlive the
 /// policy.
 class OnlinePolicy {
  public:
@@ -114,13 +117,13 @@ class OnlinePolicy {
   /// Plans the next component execution from `view`: picks the component
   /// (including the pipeline progress fallback when the designated one is
   /// blocked) and simulates its full burst. Idle plan = nothing can move.
-  virtual StepPlan next_step(const EngineView& view) = 0;
+  virtual StepPlan next_step(const EngineView& view) const = 0;
 
   /// Plans the end-of-stream drain from `view`: aligns the source on whole
   /// steady-state iterations (never beyond the remaining input credit) and
   /// flushes every channel. Executing the plan empties all buffers whenever
   /// the alignment was reachable.
-  virtual std::vector<sdf::NodeId> plan_drain(const EngineView& view) = 0;
+  virtual std::vector<sdf::NodeId> plan_drain(const EngineView& view) const = 0;
 
   /// Source-firing allowance a batch driver should grant so the rule can
   /// produce at least `min_outputs` sink firings and still drain on a whole

@@ -304,7 +304,8 @@ TEST(FootprintEstimator, SeedsFromLayoutAndStaysColdUntilActive) {
   placement::FootprintConfig config;
   config.budget_words = 4096;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(/*layout_words=*/1000, /*state_words=*/300);
+  constexpr std::int32_t s = 7;
+  est.add_session(s, /*layout_words=*/1000, /*state_words=*/300);
   EXPECT_EQ(est.footprint_words(s), 1000);  // the gain-analysis seed
   EXPECT_FALSE(est.hot(s));                 // nothing observed yet
   EXPECT_FALSE(est.express(s));
@@ -315,7 +316,8 @@ TEST(FootprintEstimator, ActiveWindowFollowsResidencyWithinBounds) {
   config.budget_words = 4096;
   config.min_window_accesses = 64;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(1000, 300);
+  constexpr std::int32_t s = 7;
+  est.add_session(s, 1000, 300);
 
   placement::FootprintObservation o;
   o.accesses = 1000;  // active window, low miss rate
@@ -344,7 +346,8 @@ TEST(FootprintEstimator, ThrashWindowSnapsBackToTheFullLayout) {
   config.budget_words = 4096;
   config.thrash_miss_permille = 500;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(1000, 300);
+  constexpr std::int32_t s = 7;
+  est.add_session(s, 1000, 300);
   placement::FootprintObservation o;
   o.accesses = 1000;
   o.misses = 700;        // 700 permille >= the thrash threshold
@@ -360,7 +363,8 @@ TEST(FootprintEstimator, QuietWindowsDemoteToColdAfterTheConfiguredCount) {
   config.min_window_accesses = 64;
   config.cold_windows = 2;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(1000, 300);
+  constexpr std::int32_t s = 7;
+  est.add_session(s, 1000, 300);
   placement::FootprintObservation o;
   o.accesses = 1000;
   o.misses = 10;
@@ -378,7 +382,8 @@ TEST(FootprintEstimator, ExpressSessionsAreNeverHot) {
   config.budget_words = 1000;
   config.express_permille = 2000;  // express beyond 2x the budget
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(/*layout_words=*/5000, /*state_words=*/100);
+  constexpr std::int32_t s = 7;
+  est.add_session(s, /*layout_words=*/5000, /*state_words=*/100);
   placement::FootprintObservation o;
   o.accesses = 10000;
   o.misses = 9000;  // thrashing: estimate snaps to the 5000-word layout
