@@ -215,22 +215,18 @@ CellResult Experiment::run_cell(const Coordinate& at) const {
                                                static_cast<double>(at.cache.capacity_words))));
     validate_cache_geometry(sim);
 
-    const std::int64_t rounds = schedule::periods_for_outputs(sched, spec_.target_outputs);
+    schedule::FiringProgram program = schedule::FiringProgram::encode(sched.period);
+    program.repeat = schedule::periods_for_outputs(sched, spec_.target_outputs);
     iomodel::LruCache cache(sim);
     runtime::Engine engine(graph, sched.buffer_caps, cache, spec_.engine);
-    const auto measure = [&]() {
-      runtime::RunResult total;
-      for (std::int64_t r = 0; r < rounds; ++r) total += engine.run(sched.period);
-      return total;
-    };
-    cell.run = measure();
+    cell.run = engine.run(program);
     // Further repetitions reuse the constructed engine against a fresh cold
     // cache (Engine::rebind_cache); every repetition must reproduce the
     // first bit-for-bit or the cell is flagged.
     for (std::int32_t rep = 1; rep < spec_.repetitions; ++rep) {
       iomodel::LruCache fresh(sim);
       engine.rebind_cache(fresh);
-      const runtime::RunResult again = measure();
+      const runtime::RunResult again = engine.run(program);
       if (again != cell.run) {
         throw Error("repetition " + std::to_string(rep) +
                     " diverged from the first measurement (nondeterministic strategy "

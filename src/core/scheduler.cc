@@ -17,12 +17,10 @@ runtime::RunResult simulate(const sdf::SdfGraph& g, const schedule::Schedule& s,
   CCS_EXPECTS(target_outputs > 0, "output target must be positive");
   iomodel::LruCache cache(cache_config);
   runtime::Engine engine(g, s.buffer_caps, cache, engine_options);
-  const std::int64_t rounds = schedule::periods_for_outputs(s, target_outputs);
-  runtime::RunResult total;
-  for (std::int64_t r = 0; r < rounds; ++r) {
-    total += engine.run(s.period);
-  }
-  return total;
+  // The rounds are one program: the period encoded once, repeated.
+  schedule::FiringProgram program = schedule::FiringProgram::encode(s.period);
+  program.repeat = schedule::periods_for_outputs(s, target_outputs);
+  return engine.run(program);
 }
 
 }  // namespace ccs::core

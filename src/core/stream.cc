@@ -91,7 +91,7 @@ StepResult Stream::step() {
   // On a shared cache another tenant may have run since our last step; its
   // traffic must not be attributed to this session's delta window.
   engine_->resync_cache_baseline();
-  result.run = engine_->run(plan.firings);
+  result.run = engine_->run(plan.program);
   if (cost_model_ != nullptr) {
     // Price the step's own delta window and record it as one latency
     // sample; totals_ then accumulates both through RunResult::operator+=.
@@ -110,7 +110,7 @@ runtime::RunResult Stream::run_until_idle() {
 }
 
 runtime::RunResult Stream::drain() {
-  const std::vector<sdf::NodeId> plan = plan_->policy->plan_drain(*view_);
+  const schedule::FiringProgram plan = plan_->policy->plan_drain(*view_);
   engine_->resync_cache_baseline();
   runtime::RunResult result = engine_->run(plan);
   if (cost_model_ != nullptr) {

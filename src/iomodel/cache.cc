@@ -32,22 +32,10 @@ CacheSim::CacheSim(std::int64_t block_words)
   CCS_EXPECTS(block_words > 0, "block size must be positive");
 }
 
-std::int64_t CacheSim::access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
-  CCS_EXPECTS(first >= 0, "negative block id");
-  CCS_EXPECTS(count >= 0, "negative block count");
-  CCS_EXPECTS(first <= kMaxInt64 - count, "block range overflows");
-  if (count == 0) return 0;
-  // Every block in the range must have an addressable first word, so the
-  // bulk path and the word-at-a-time reference agree on their domain.
-  CCS_EXPECTS(first + count - 1 <= kMaxInt64 / block_words_,
-              "block range exceeds address space");
-  if (!costs_.any()) {
-    do_access_blocks(first, count, mode);
-    return 0;
-  }
-  // Price the call from its own counter delta. The snapshot is four int64
-  // loads; implementations never touch counters outside their own stats_,
-  // so the delta covers exactly this call.
+std::int64_t CacheSim::priced_access_blocks(BlockId first, std::int64_t count,
+                                            AccessMode mode) {
+  // The snapshot is four int64 loads; implementations never touch counters
+  // outside their own stats_, so the delta covers exactly this call.
   const CacheStats before = stats();
   do_access_blocks(first, count, mode);
   CacheStats delta = stats();
@@ -56,16 +44,6 @@ std::int64_t CacheSim::access_blocks(BlockId first, std::int64_t count, AccessMo
   delta.misses -= before.misses;
   delta.writebacks -= before.writebacks;
   return costs_.price(delta);
-}
-
-std::int64_t CacheSim::access_span(Addr addr, std::int64_t words, AccessMode mode) {
-  CCS_EXPECTS(addr >= 0, "negative address");
-  CCS_EXPECTS(words >= 0, "negative span length");
-  CCS_EXPECTS(addr <= kMaxInt64 - words, "span overflows address space");
-  if (words == 0) return 0;
-  const BlockId first = block_of(addr);
-  const BlockId last = block_of(addr + words - 1);
-  return access_blocks(first, last - first + 1, mode);
 }
 
 void CacheSim::access_range(Addr addr, std::int64_t count, AccessMode mode) {
@@ -205,16 +183,39 @@ void LruCache::access(Addr addr, AccessMode mode) {
 }
 
 bool LruCache::splice_resident_run(BlockId first, std::int64_t count, bool write) {
+  // The run must read last, last-1, ..., first walking toward LRU. One walk
+  // of count-1 `next` links is a single dependent load chain, so the check
+  // is split at anchors: blocks last, last-S, last-2S, ... (S =
+  // kSpliceAnchorStride) are each found by an independent table probe, and
+  // each segment is checked by a short walk from its anchor -- every block
+  // on the way compared, and the final `next` link compared against the
+  // following anchor's node. The table maps every resident block to its
+  // one node, so "the walk reaches block b" and "the walk reaches b's node"
+  // are the same fact: the segments verify exactly the links the single
+  // walk followed, and the answer and the splice are the same. The
+  // sentinel's block is -1, never a valid id, so a run cut short by the LRU
+  // end fails the compare like any other stranger.
   const BlockId last = first + count - 1;
   const std::int32_t top = table_[find_slot(last)];
   if (top == kNil) return false;
-  // Walk toward LRU from `last`; the run must continue last-1, ..., first.
-  // The sentinel's block is -1, never a valid id, so a run cut short by the
-  // LRU end fails the compare like any other stranger.
-  std::int32_t bottom = top;
-  for (BlockId b = last - 1; b >= first; --b) {
+  std::int32_t anchor = top;
+  BlockId b = last;  // block of `anchor`
+  while (b - first >= kSpliceAnchorStride) {
+    const std::int32_t next_anchor = table_[find_slot(b - kSpliceAnchorStride)];
+    if (next_anchor == kNil) return false;
+    std::int32_t i = anchor;
+    for (BlockId k = b - 1; k > b - kSpliceAnchorStride; --k) {
+      i = slab_[static_cast<std::size_t>(i)].next;
+      if (slab_[static_cast<std::size_t>(i)].block != k) return false;
+    }
+    if (slab_[static_cast<std::size_t>(i)].next != next_anchor) return false;
+    anchor = next_anchor;
+    b -= kSpliceAnchorStride;
+  }
+  std::int32_t bottom = anchor;
+  for (BlockId k = b - 1; k >= first; --k) {
     bottom = slab_[static_cast<std::size_t>(bottom)].next;
-    if (slab_[static_cast<std::size_t>(bottom)].block != b) return false;
+    if (slab_[static_cast<std::size_t>(bottom)].block != k) return false;
   }
   // Verified: every block of the span hits. Touching them in ascending
   // order would move each to MRU in turn, leaving last, ..., first at the

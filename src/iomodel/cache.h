@@ -11,7 +11,8 @@
 //
 // Hot path: the runtime touches memory in contiguous spans (channel ring
 // segments, module state regions), so CacheSim exposes a block-granular bulk
-// API -- access_blocks() and the word-range wrapper access_span() -- that
+// API -- access_blocks() and the word-range wrapper access_span(), both
+// inline so a channel or state touch reaches the cache in one call -- that
 // costs one simulated access per block with a single virtual dispatch per
 // span. Implementations override do_access_blocks() to run the whole span
 // through their non-virtual per-block fast path; the default falls back to
@@ -22,8 +23,9 @@
 // LruCache's bulk path is the simulator's inner loop, and has three tiers:
 //  * a span whose blocks already sit in the recency list as one contiguous
 //    run (last, last-1, ..., first -- what touching the span last time
-//    left behind) is verified by one table probe plus a walk of the run,
-//    then moved to the MRU end with one O(1) splice;
+//    left behind) is verified by table probes at anchors every few blocks
+//    plus short walks between them, then moved to the MRU end with one
+//    O(1) splice;
 //  * a one-block span takes a direct hit/miss path;
 //  * everything else runs the batched group-probe loop.
 // The same entry reports each block it missed, in ascending order, to an
@@ -32,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -57,14 +60,37 @@ class CacheSim {
   /// AccessCosts (0 under the all-zero default); because pricing is linear
   /// in the counters, per-call costs sum to the price of the whole window's
   /// stats() delta, exactly.
-  std::int64_t access_blocks(BlockId first, std::int64_t count, AccessMode mode);
+  std::int64_t access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
+    CCS_EXPECTS(first >= 0, "negative block id");
+    CCS_EXPECTS(count >= 0, "negative block count");
+    CCS_EXPECTS(first <= std::numeric_limits<std::int64_t>::max() - count,
+                "block range overflows");
+    if (count == 0) return 0;
+    // Every block in the range must have an addressable first word, so the
+    // bulk path and the word-at-a-time reference agree on their domain.
+    CCS_EXPECTS(first + count - 1 <= std::numeric_limits<std::int64_t>::max() / block_words_,
+                "block range exceeds address space");
+    if (!costs_.any()) {
+      do_access_blocks(first, count, mode);
+      return 0;
+    }
+    return priced_access_blocks(first, count, mode);
+  }
 
   /// Word-range wrapper around access_blocks(): one simulated access per
   /// block overlapping [addr, addr + words). This is how the runtime touches
   /// a contiguous span -- identical misses and recency order to touching
   /// every word, at O(words/B) simulator work. Returns the call's modeled
   /// cost, like access_blocks().
-  std::int64_t access_span(Addr addr, std::int64_t words, AccessMode mode);
+  std::int64_t access_span(Addr addr, std::int64_t words, AccessMode mode) {
+    CCS_EXPECTS(addr >= 0, "negative address");
+    CCS_EXPECTS(words >= 0, "negative span length");
+    CCS_EXPECTS(addr <= std::numeric_limits<std::int64_t>::max() - words,
+                "span overflows address space");
+    if (words == 0) return 0;
+    const BlockId first = block_of(addr);
+    return access_blocks(first, block_of(addr + words - 1) - first + 1, mode);
+  }
 
   /// Attaches per-counter cycle costs (latency::CostModel::access_costs());
   /// subsequent bulk calls return their priced delta. The default all-zero
@@ -109,6 +135,10 @@ class CacheSim {
   virtual void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode);
 
  private:
+  /// access_blocks() under attached costs: prices the call from its own
+  /// counter delta.
+  std::int64_t priced_access_blocks(BlockId first, std::int64_t count, AccessMode mode);
+
   std::int64_t block_words_;
   std::int32_t block_shift_;  // log2(block_words), or -1 if not a power of two
   AccessCosts costs_;         // all-zero unless a cost model is attached
@@ -184,6 +214,10 @@ class LruCache final : public CacheSim {
 
   static constexpr std::int32_t kNil = -1;
 
+  /// Blocks between the anchors splice_resident_run() probes: the longest
+  /// dependent `next` chain its check walks.
+  static constexpr BlockId kSpliceAnchorStride = 4;
+
   /// One block's replacement state. slab_[0] is a sentinel that closes the
   /// recency list into a circle (sentinel.next = MRU, sentinel.prev = LRU),
   /// so relinking needs no nil/head/tail branches. Live nodes are exactly
@@ -211,8 +245,10 @@ class LruCache final : public CacheSim {
   /// Resident-run fast path: if blocks last, last-1, ..., first follow one
   /// another in the recency list, the span is all hits and its exact LRU
   /// outcome is that run moved to the MRU end -- done as one splice, with
-  /// counters and dirty bits applied. Returns false, having changed
-  /// nothing, on the first block out of place.
+  /// counters and dirty bits applied. The run is checked through anchors
+  /// every kSpliceAnchorStride blocks (independent table probes) with a
+  /// short walk between them. Returns false, having changed nothing, on the
+  /// first block out of place.
   bool splice_resident_run(BlockId first, std::int64_t count, bool write);
 
   /// Hit/miss/eviction core; updates everything except the accesses/hits/

@@ -4,13 +4,16 @@
 // granularity: a contiguous span of k words covers a fixed set of blocks,
 // and touching each block once produces exactly the same miss count (and
 // LRU recency order) as touching every word, while costing O(k/B) simulator
-// work instead of O(k).
+// work instead of O(k). push/pop are inline: they sit on the per-firing hot
+// path, and only their error paths are out of line.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "iomodel/cache.h"
 #include "iomodel/layout.h"
+#include "util/contract.h"
 
 namespace ccs::runtime {
 
@@ -26,11 +29,27 @@ class Channel {
   bool empty() const noexcept { return size_ == 0; }
   bool full() const noexcept { return size_ == capacity_; }
 
-  /// Appends `count` tokens, writing their slots. Requires space() >= count.
-  void push(std::int64_t count, iomodel::CacheSim& cache);
+  /// Appends `count` tokens, writing their slots. Requires space() >= count
+  /// (ScheduleError otherwise, before any memory traffic).
+  void push(std::int64_t count, iomodel::CacheSim& cache) {
+    CCS_EXPECTS(count >= 0, "negative push count");
+    if (count > space()) throw_overflow(count);
+    std::int64_t offset = head_ + size_;
+    if (offset >= capacity_) offset -= capacity_;
+    touch(offset, count, cache, iomodel::AccessMode::kWrite);
+    size_ += count;
+  }
 
-  /// Removes `count` tokens, reading their slots. Requires size() >= count.
-  void pop(std::int64_t count, iomodel::CacheSim& cache);
+  /// Removes `count` tokens, reading their slots. Requires size() >= count
+  /// (ScheduleError otherwise, before any memory traffic).
+  void pop(std::int64_t count, iomodel::CacheSim& cache) {
+    CCS_EXPECTS(count >= 0, "negative pop count");
+    if (count > size_) throw_underflow(count);
+    touch(head_, count, cache, iomodel::AccessMode::kRead);
+    head_ += count;
+    if (head_ >= capacity_) head_ -= capacity_;
+    size_ -= count;
+  }
 
   /// Empties the queue without memory traffic (used between measurement
   /// phases; the data is dead by construction).
@@ -55,7 +74,16 @@ class Channel {
   /// the wrapped span splits into at most two contiguous pieces, each issued
   /// as one bulk CacheSim::access_span transaction.
   void touch(std::int64_t offset, std::int64_t count, iomodel::CacheSim& cache,
-             iomodel::AccessMode mode) const;
+             iomodel::AccessMode mode) const {
+    // A ring span wraps at most once (count <= capacity), so the whole
+    // operation is at most two bulk cache transactions.
+    const std::int64_t run = std::min(count, capacity_ - offset);
+    if (run > 0) cache.access_span(region_.base + offset, run, mode);
+    if (count > run) cache.access_span(region_.base, count - run, mode);
+  }
+
+  [[noreturn]] void throw_overflow(std::int64_t count) const;
+  [[noreturn]] void throw_underflow(std::int64_t count) const;
 
   iomodel::Region region_;
   std::int64_t capacity_;

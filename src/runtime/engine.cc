@@ -112,7 +112,7 @@ Engine::Engine(std::shared_ptr<const EngineLayout> layout, iomodel::CacheSim& ca
   }
   fired_.assign(static_cast<std::size_t>(graph_->node_count()), 0);
   node_miss_base_.assign(static_cast<std::size_t>(graph_->node_count()), 0);
-  sizes_scratch_.assign(rings.size(), 0);
+  slot_of_.assign(rings.size(), 0);
   source_ = layout_->source();
   sink_ = layout_->sink();
   external_in_ = iomodel::Region{kExternalInBase + options_.address_base, 0};
@@ -155,36 +155,117 @@ void Engine::throw_blocked(sdf::NodeId v, const Port& p, bool underflow) const {
                       std::to_string(p.channel));
 }
 
-void Engine::validate_sequence(std::span<const sdf::NodeId> firings) {
-  // Token-count replay: pure integer arithmetic, no cache traffic. Proves
-  // the whole sequence feasible so the execution loop can skip per-firing
-  // re-validation; throws the same errors fire() would, before any firing
-  // has executed.
-  for (std::size_t e = 0; e < channels_.size(); ++e) sizes_scratch_[e] = channels_[e].size();
+bool Engine::program_fits(const schedule::FiringProgram& program) {
+  // Replay one period at run granularity. A run of v fires it `count` times
+  // back to back; v's input and output channels are distinct (the graph
+  // has no self-loops), so each moves monotonically during the run and
+  // its extreme is the level at the run's end. Recording every channel's
+  // net delta d and the prefix minimum lo / maximum hi of its offset from
+  // the period's start then captures every level the program reaches: in
+  // repeat j (0-based) a channel sits at start + j*d + offset, linear in j,
+  // so its lowest and highest levels over all repeats occur at j = 0 or
+  // j = repeat-1. Per-firing feasibility is exactly "after every firing,
+  // each channel it moved lies in [0, capacity]", so checking those two
+  // repeats' extremes (plus the credit total) is exact. Any arithmetic
+  // overflow -- impossible for a feasible program, whose levels all stay
+  // within capacity -- just returns false and leaves it to the replay.
+  for (const Excursion& x : excursions_) slot_of_[static_cast<std::size_t>(x.channel)] = 0;
+  excursions_.clear();
+  const auto touch = [this](std::int32_t ch) -> Excursion& {
+    std::int32_t& slot = slot_of_[static_cast<std::size_t>(ch)];
+    if (slot == 0) {
+      excursions_.push_back(Excursion{ch, 0, 0, 0});
+      slot = static_cast<std::int32_t>(excursions_.size());
+    }
+    return excursions_[static_cast<std::size_t>(slot - 1)];
+  };
+  std::int64_t source_per_period = 0;
+  for (const schedule::FiringRun& run : program.runs) {
+    if (run.node < 0 || run.node >= graph_->node_count() || run.count <= 0) return false;
+    const FiringPlan& plan = plans_[static_cast<std::size_t>(run.node)];
+    for (std::int32_t i = plan.in_begin; i < plan.in_end; ++i) {
+      const Port& p = in_ports_[static_cast<std::size_t>(i)];
+      Excursion& x = touch(p.channel);
+      std::int64_t moved = 0;
+      if (__builtin_mul_overflow(p.rate, std::int64_t{run.count}, &moved) ||
+          __builtin_sub_overflow(x.delta, moved, &x.delta)) {
+        return false;
+      }
+      x.lo = std::min(x.lo, x.delta);
+    }
+    for (std::int32_t i = plan.out_begin; i < plan.out_end; ++i) {
+      const Port& p = out_ports_[static_cast<std::size_t>(i)];
+      Excursion& x = touch(p.channel);
+      std::int64_t moved = 0;
+      if (__builtin_mul_overflow(p.rate, std::int64_t{run.count}, &moved) ||
+          __builtin_add_overflow(x.delta, moved, &x.delta)) {
+        return false;
+      }
+      x.hi = std::max(x.hi, x.delta);
+    }
+    if (run.node == source_ &&
+        __builtin_add_overflow(source_per_period, std::int64_t{run.count}, &source_per_period)) {
+      return false;
+    }
+  }
+  if (options_.credit_input) {
+    // The replay decrements one credit per source firing and rejects the
+    // firing that finds none left: feasible iff the total fits the credit.
+    std::int64_t need = 0;
+    if (__builtin_mul_overflow(source_per_period, program.repeat, &need) ||
+        need > input_credit_) {
+      return false;
+    }
+  }
+  if (program.repeat == 0) return true;
+  const std::int64_t last = program.repeat - 1;
+  for (const Excursion& x : excursions_) {
+    const Channel& c = channels_[static_cast<std::size_t>(x.channel)];
+    // Levels at the first repeat's extremes (start in [0, capacity], so
+    // neither sum can overflow in the direction that is checked)...
+    if (c.size() + x.lo < 0 || x.hi > c.capacity() - c.size()) return false;
+    // ... and at the last one's.
+    std::int64_t drift = 0;
+    std::int64_t low = 0;
+    std::int64_t high = 0;
+    if (__builtin_mul_overflow(last, x.delta, &drift) ||
+        __builtin_add_overflow(c.size() + x.lo, drift, &low) ||
+        __builtin_add_overflow(c.size() + x.hi, drift, &high) || low < 0 ||
+        high > c.capacity()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Engine::replay_program(const schedule::FiringProgram& program) const {
+  // Token-count replay: pure integer arithmetic, no cache traffic. Throws
+  // the same errors fire() would, before any firing has executed. This is
+  // the rejection path, so its scratch is allocated per call.
+  std::vector<std::int64_t> sizes(channels_.size());
+  for (std::size_t e = 0; e < channels_.size(); ++e) sizes[e] = channels_[e].size();
   std::int64_t credit = input_credit_;
-  for (const sdf::NodeId v : firings) {
+  const auto replayed = [&sizes](std::int32_t ch) { return sizes[static_cast<std::size_t>(ch)]; };
+  program.for_each([&](sdf::NodeId v) {
     CCS_EXPECTS(v >= 0 && v < graph_->node_count(), "node id out of range");
     if (options_.credit_input && v == source_ && credit-- <= 0) {
       throw ScheduleError("firing '" + graph_->node(v).name +
                           "' exceeds the granted external input credit");
     }
     bool underflow = false;
-    const auto replayed = [this](std::int32_t ch) {
-      return sizes_scratch_[static_cast<std::size_t>(ch)];
-    };
     if (const Port* p = first_blocked_port(v, replayed, underflow)) {
       throw_blocked(v, *p, underflow);
     }
     const FiringPlan& plan = plans_[static_cast<std::size_t>(v)];
     for (std::int32_t i = plan.in_begin; i < plan.in_end; ++i) {
       const Port& p = in_ports_[static_cast<std::size_t>(i)];
-      sizes_scratch_[static_cast<std::size_t>(p.channel)] -= p.rate;
+      sizes[static_cast<std::size_t>(p.channel)] -= p.rate;
     }
     for (std::int32_t i = plan.out_begin; i < plan.out_end; ++i) {
       const Port& p = out_ports_[static_cast<std::size_t>(i)];
-      sizes_scratch_[static_cast<std::size_t>(p.channel)] += p.rate;
+      sizes[static_cast<std::size_t>(p.channel)] += p.rate;
     }
-  }
+  });
 }
 
 void Engine::fire(sdf::NodeId v) {
@@ -293,7 +374,7 @@ void Engine::audit_invariants() const {
     CCS_CHECK(c.size() <= c.capacity(), "channel holds more tokens than its capacity");
   }
   // Credit plane: consuming credit below zero means a source firing slipped
-  // past the metering gate (can_fire/try_fire/validate_sequence).
+  // past the metering gate (can_fire/try_fire/program_fits/replay_program).
   CCS_CHECK(input_credit_ >= 0 || input_credit_ == kUnlimitedCredit,
             "external input credit went negative");
   // Firing-plan plane: every plan's port spans must be well-formed windows
@@ -347,9 +428,13 @@ RunResult Engine::take() {
   return result;
 }
 
-RunResult Engine::run(std::span<const sdf::NodeId> firings) {
-  validate_sequence(firings);
-  for (const sdf::NodeId v : firings) fire_unchecked(v);
+RunResult Engine::run(const schedule::FiringProgram& program) {
+  CCS_EXPECTS(program.repeat >= 0, "negative program repeat");
+  // The compact check settles every feasible program; one it rejects is
+  // replayed firing by firing, which throws the first offending firing's
+  // error.
+  if (!program_fits(program)) replay_program(program);
+  program.for_each([this](sdf::NodeId v) { fire_unchecked(v); });
   return take();
 }
 

@@ -14,25 +14,32 @@
 // and never interfere with partitioning decisions.
 //
 // Two driving modes:
-//  * Batch: run(firings) validates a whole materialized sequence once and
-//    replays it -- the classic schedule-then-measure workflow.
+//  * Batch: run(program) validates a compiled schedule::FiringProgram (one
+//    period of (node, count) runs, repeated) once and executes it -- the
+//    classic schedule-then-measure workflow, and what core::Stream runs for
+//    every policy step. run(firings) run-length encodes a plain sequence
+//    into a program first; there is no second execution path.
 //  * Incremental: try_fire() is a noexcept feasibility-check-and-fire for
-//    online drivers (core::Stream) that decide the next firing from live
-//    state; push_input() meters the external input so the source can only
-//    fire against tokens that have actually arrived (EngineOptions::
+//    online drivers that decide the next firing from live state;
+//    push_input() meters the external input so the source can only fire
+//    against tokens that have actually arrived (EngineOptions::
 //    credit_input), and snapshot()/take() poll the counters accumulated
 //    since the last take without needing a run() boundary.
 //
 // Hot path: an immutable EngineLayout precomputes one FiringPlan per module
 // (flattened input/output port spans, the state region, source/sink flags),
 // so a firing never re-derives edge lists or rates from the graph; engines
-// of one session share it. run() validates the
-// whole firing sequence once with a token-count replay (pure integer
-// arithmetic, no memory traffic) and then executes it through the unchecked
-// fast path; an infeasible sequence throws the same ScheduleError a
-// per-firing check would, before any firing executes. State scans and
-// channel ring operations are issued as bulk block-granular cache
-// transactions (at most two per channel operation).
+// of one session share it. run() proves the whole program feasible in
+// O(period + touched channels), independent of the repeat count: it replays
+// one period at run granularity, recording each channel's net delta and
+// prefix extremes, and checks the extremes at the first and last repeat
+// (every level is linear in the repeat index) plus the credit total. A
+// program that check rejects is replayed firing by firing, so an infeasible
+// program throws exactly the ScheduleError a per-firing check would, before
+// any firing executes. Execution then runs through the unchecked fast path;
+// state scans and channel ring operations are issued as bulk block-granular
+// cache transactions (at most two per channel operation) through the
+// inlined CacheSim span entry points.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +52,7 @@
 #include "iomodel/layout.h"
 #include "runtime/channel.h"
 #include "runtime/run_result.h"
+#include "schedule/program.h"
 #include "sdf/graph.h"
 
 namespace ccs::runtime {
@@ -236,11 +244,16 @@ class Engine {
     return options_.credit_input ? input_credit_ : kUnlimitedCredit;
   }
 
-  /// Fires the sequence in order, returning the counters accumulated since
-  /// the previous take (or construction). The whole sequence is validated
-  /// up front; an infeasible sequence throws ScheduleError naming the first
+  /// Executes the program, returning the counters accumulated since the
+  /// previous take (or construction). The whole program is validated up
+  /// front; an infeasible one throws ScheduleError naming the first
   /// offending firing, with no tokens moved and no memory traffic.
-  RunResult run(std::span<const sdf::NodeId> firings);
+  RunResult run(const schedule::FiringProgram& program);
+
+  /// Fires the sequence in order: run() of its run-length encoding.
+  RunResult run(std::span<const sdf::NodeId> firings) {
+    return run(schedule::FiringProgram::encode(firings));
+  }
 
   /// Counters accumulated since the last take()/run() boundary, without
   /// resetting the baseline: polling twice returns the same deltas.
@@ -351,8 +364,8 @@ class Engine {
   /// Shared feasibility scan: returns the first port of v that cannot fire
   /// given per-channel token counts `size_of(channel)`, or nullptr if all
   /// can; sets `underflow` to distinguish the failure direction. The single
-  /// home of the firing-feasibility rule — can_fire, fire, and
-  /// validate_sequence all go through it.
+  /// home of the per-firing feasibility rule — can_fire, fire, and
+  /// replay_program all go through it.
   template <typename SizeOf>
   const Port* first_blocked_port(sdf::NodeId v, SizeOf&& size_of, bool& underflow) const {
     const FiringPlan& plan = plans_[static_cast<std::size_t>(v)];
@@ -377,10 +390,15 @@ class Engine {
   /// Builds the ScheduleError for a blocked port found by first_blocked_port.
   [[noreturn]] void throw_blocked(sdf::NodeId v, const Port& p, bool underflow) const;
 
-  /// Replays `firings` against token counters only (no cache traffic),
+  /// The O(period + touched channels) check: true iff every firing of the
+  /// program is feasible. May return false for a feasible program only
+  /// where its arithmetic would overflow, which run() settles by replay.
+  bool program_fits(const schedule::FiringProgram& program);
+
+  /// Replays the program firing by firing against token counters only,
   /// throwing on the first infeasible firing (including a source firing
   /// beyond the granted input credit when the input is metered).
-  void validate_sequence(std::span<const sdf::NodeId> firings);
+  void replay_program(const schedule::FiringProgram& program) const;
 
   /// Executes one pre-validated firing.
   void fire_unchecked(sdf::NodeId v);
@@ -403,7 +421,17 @@ class Engine {
   const Port* out_ports_;             // all output ports, grouped by node
   std::vector<Channel> channels_;     // per edge
   std::vector<std::int64_t> fired_;   // per node, lifetime
-  std::vector<std::int64_t> sizes_scratch_;  // per edge, for validate_sequence
+
+  /// One channel's token-level excursion over a program period, relative to
+  /// the level at the period's start: net change and prefix extremes.
+  struct Excursion {
+    std::int32_t channel = 0;
+    std::int64_t delta = 0;
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+  };
+  std::vector<Excursion> excursions_;  // channels the last checked period moved
+  std::vector<std::int32_t> slot_of_;  // per edge: 1 + index into excursions_, or 0
 
   sdf::NodeId source_ = sdf::kInvalidNode;
   sdf::NodeId sink_ = sdf::kInvalidNode;

@@ -44,12 +44,12 @@ Schedule run_policy(const sdf::SdfGraph& g, OnlinePolicy& policy, std::int64_t m
   const sdf::NodeId source = policy.source();
   const sdf::NodeId sink = policy.sink();
 
-  const auto execute = [&](const std::vector<sdf::NodeId>& firings) {
-    for (const sdf::NodeId v : firings) {
+  const auto execute = [&](const FiringProgram& program) {
+    program.for_each([&](sdf::NodeId v) {
       sim.fire(v);
       if (v == source && credit != kUnlimitedCredit) --credit;
-    }
-    out.period.insert(out.period.end(), firings.begin(), firings.end());
+      out.period.push_back(v);
+    });
   };
 
   while (sim.fired(sink) < min_outputs) {
@@ -57,7 +57,7 @@ Schedule run_policy(const sdf::SdfGraph& g, OnlinePolicy& policy, std::int64_t m
     if (step.idle()) {
       throw DeadlockError(label + " scheduler made no progress");
     }
-    execute(step.firings);
+    execute(step.program);
   }
   execute(policy.plan_drain(view));
   if (!sim.drained()) {

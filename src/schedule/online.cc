@@ -116,14 +116,14 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
   StepPlan next_step(const EngineView& view) const override {
     StepPlan plan;
     plan.component = next_component(view);
-    plan_component(plan.component, view, plan.firings);
-    if (!plan.firings.empty()) return plan;
+    plan_component(plan.component, view, plan.program);
+    if (!plan.idle()) return plan;
     // The idealized rule assumes an infinite input stream; when arrivals run
     // dry the designated component may be stuck -- push the in-flight tokens
     // through whichever component can still move.
     for (std::int64_t c = 0; c < k_; ++c) {
-      plan_component(c, view, plan.firings);
-      if (!plan.firings.empty()) {
+      plan_component(c, view, plan.program);
+      if (!plan.idle()) {
         plan.component = c;
         return plan;
       }
@@ -132,7 +132,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     return plan;
   }
 
-  std::vector<sdf::NodeId> plan_drain(const EngineView& view) const override {
+  FiringProgram plan_drain(const EngineView& view) const override {
     // Align the source on a whole number of steady-state iterations, then
     // greedy-sweep the chain until nothing moves. With enough remaining
     // input credit (a batch driver always has it) this empties every
@@ -142,7 +142,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     const std::int64_t target = ceil_div(fired_src, reps_src) * reps_src;
     std::int64_t allowance = std::min(target - fired_src, view.input_credit());
 
-    std::vector<sdf::NodeId> out;
+    FiringProgram out;
     scratch_.seed(view);
     bool progressed = true;
     while (progressed) {
@@ -157,7 +157,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
         if (batch > 0) {
           scratch_.fire(v, batch);
           if (v == source_) allowance -= batch;
-          out.insert(out.end(), static_cast<std::size_t>(batch), v);
+          out.append(v, batch);
           progressed = true;
         }
       }
@@ -174,10 +174,9 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
 
  private:
   /// Simulates one run-to-blocking execution of component c from `view`
-  /// (the source limited to the remaining input credit), appending the
-  /// firings. Leaves `out` untouched when c cannot move at all.
-  void plan_component(std::int64_t c, const EngineView& view,
-                      std::vector<sdf::NodeId>& out) const {
+  /// (the source limited to the remaining input credit), appending its
+  /// batches as runs. Leaves `out` untouched when c cannot move at all.
+  void plan_component(std::int64_t c, const EngineView& view, FiringProgram& out) const {
     scratch_.seed(view);
     std::int64_t credit = view.input_credit();
     bool progressed = true;
@@ -193,7 +192,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
         if (batch > 0) {
           scratch_.fire(v, batch);
           if (v == source_ && credit != kUnlimitedCredit) credit -= batch;
-          out.insert(out.end(), static_cast<std::size_t>(batch), v);
+          out.append(v, batch);
           progressed = true;
         }
       }
@@ -252,20 +251,20 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
     plan.component = next_component(view);
     if (plan.component == kNoComponent) return plan;
     // Execute = m local iterations, each one topological pass over members
-    // (schedulability guarantees the whole burst is feasible).
+    // (schedulability guarantees the whole burst is feasible): one period
+    // of the members, repeated m times.
     const auto& mem = members_[static_cast<std::size_t>(plan.component)];
-    plan.firings.reserve(static_cast<std::size_t>(m_) * mem.size());
-    for (std::int64_t iter = 0; iter < m_; ++iter) {
-      plan.firings.insert(plan.firings.end(), mem.begin(), mem.end());
-    }
+    plan.program.runs.reserve(mem.size());
+    for (const sdf::NodeId v : mem) plan.program.append(v);
+    plan.program.repeat = m_;
     return plan;
   }
 
-  std::vector<sdf::NodeId> plan_drain(const EngineView& view) const override {
+  FiringProgram plan_drain(const EngineView& view) const override {
     // Drain component-major (run each component to exhaustion before moving
     // on) so every component's state is loaded O(1) times; the source admits
     // no new inputs while draining.
-    std::vector<sdf::NodeId> out;
+    FiringProgram out;
     scratch_.seed(view);
     bool draining = true;
     while (draining) {
@@ -280,7 +279,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
                 scratch_.max_batch(v, std::numeric_limits<std::int64_t>::max());
             if (batch > 0) {
               scratch_.fire(v, batch);
-              out.insert(out.end(), static_cast<std::size_t>(batch), v);
+              out.append(v, batch);
               progressed = true;
               draining = true;
             }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "partition/partition.h"
+#include "schedule/program.h"
 #include "sdf/graph.h"
 #include "util/registry.h"
 
@@ -61,15 +62,16 @@ class EngineView {
   virtual std::int64_t input_credit() const = 0;
 };
 
-/// One planned component execution: the firings of a single run-to-blocking
-/// (pipeline) or M-iteration (homogeneous) burst, in execution order. An
-/// empty plan means the policy is idle -- every component is blocked on
-/// arrivals or downstream space.
+/// One planned component execution: a single run-to-blocking (pipeline) or
+/// M-iteration (homogeneous) burst as a compiled firing program -- the
+/// pipeline rule's batches as runs, the M-batch rule's burst as one pass
+/// over the members repeated M times. An empty plan means the policy is
+/// idle -- every component is blocked on arrivals or downstream space.
 struct StepPlan {
   std::int64_t component = kNoComponent;  ///< Which component the burst runs.
-  std::vector<sdf::NodeId> firings;       ///< Firing order of the burst.
+  FiringProgram program;                  ///< The burst, in execution order.
 
-  bool idle() const noexcept { return firings.empty(); }
+  bool idle() const noexcept { return program.empty(); }
 };
 
 /// An online scheduling rule bound to one (graph, partition, M).
@@ -123,7 +125,7 @@ class OnlinePolicy {
   /// steady-state iterations (never beyond the remaining input credit) and
   /// flushes every channel. Executing the plan empties all buffers whenever
   /// the alignment was reachable.
-  virtual std::vector<sdf::NodeId> plan_drain(const EngineView& view) const = 0;
+  virtual FiringProgram plan_drain(const EngineView& view) const = 0;
 
   /// Source-firing allowance a batch driver should grant so the rule can
   /// produce at least `min_outputs` sink firings and still drain on a whole

@@ -455,6 +455,116 @@ TEST(FlatLru, ModuleStateRotationMatchesTextbook) {
   EXPECT_GT(text.stats().writebacks, 0);
 }
 
+// --- Anchored resident-run check ------------------------------------------
+
+/// One resident-run scenario, driven identically into a bulk LruCache and a
+/// per-block reference LruCache: `setup` builds the recency list with
+/// single-block accesses on both, then the span [first, first+len) is
+/// touched through the bulk path on one and block by block on the other.
+/// The outcome must match exactly -- counters, residency, and (revealed by
+/// evicting everything with fresh blocks one at a time, comparing residency
+/// and writebacks after each) the full recency order and dirty bits.
+template <class Setup>
+void check_run_scenario(std::int64_t len, AccessMode mode, const Setup& setup,
+                        const std::string& tag) {
+  constexpr std::int64_t kCapacity = 80;  // blocks: a 64-block run plus strangers
+  constexpr BlockId kFirst = 1000;
+  constexpr BlockId kFresh = 5000;
+  LruCache bulk(CacheConfig{kCapacity * kBlock, kBlock});
+  LruCache ref(CacheConfig{kCapacity * kBlock, kBlock});
+  const auto single = [&](BlockId b, AccessMode m) {
+    bulk.access(b * kBlock, m);
+    ref.access(b * kBlock, m);
+  };
+  setup(single, kFirst);
+  bulk.access_blocks(kFirst, len, mode);
+  for (BlockId b = kFirst; b < kFirst + len; ++b) ref.access(b * kBlock, mode);
+  bulk.audit_invariants();
+  expect_stats_eq(bulk.stats(), ref.stats(), tag);
+  const auto same_residency = [&](const std::string& where) {
+    for (BlockId b = 0; b < kCapacity; ++b) {
+      ASSERT_EQ(bulk.contains(b * kBlock), ref.contains(b * kBlock)) << where << " block " << b;
+    }
+    for (BlockId b = kFirst - 8; b < kFirst + len + 8; ++b) {
+      ASSERT_EQ(bulk.contains(b * kBlock), ref.contains(b * kBlock)) << where << " block " << b;
+    }
+  };
+  same_residency(tag);
+  for (BlockId i = 0; i < kCapacity; ++i) {
+    bulk.access((kFresh + i) * kBlock, AccessMode::kRead);
+    ref.access((kFresh + i) * kBlock, AccessMode::kRead);
+    const std::string where = tag + " eviction " + std::to_string(i);
+    expect_stats_eq(bulk.stats(), ref.stats(), where);
+    same_residency(where);
+    if (::testing::Test::HasFailure()) return;
+  }
+  bulk.audit_invariants();
+}
+
+TEST(AnchoredSplice, RunsAcrossAnchorBoundariesMatchPerBlockReference) {
+  // Run lengths 2..64 straddle every anchor-stride boundary. Each run is
+  // first laid down as one recency run (ascending single touches), pushed
+  // off the MRU end by a few strangers, and then broken -- or not -- before
+  // the bulk touch:
+  //  * intact (the splice accepts, relinking the run to MRU);
+  //  * intact at MRU (the splice accepts with nothing to relink);
+  //  * a stranger inserted after offset k, for every k (the check must
+  //    reject wherever the stranger falls: mid-segment or at a junction);
+  //  * block k displaced by a stranger in its list position, for every k
+  //    (same link count, wrong block: only the per-block compare sees it);
+  //  * the j oldest blocks evicted off the LRU end, for every j.
+  // Read and write modes; some blocks start dirty so writebacks show.
+  for (const AccessMode mode : {AccessMode::kRead, AccessMode::kWrite}) {
+    const std::string mode_tag = mode == AccessMode::kWrite ? " write" : " read";
+    for (std::int64_t len = 2; len <= 64; ++len) {
+      const std::string len_tag = "len " + std::to_string(len) + mode_tag;
+      const auto lay_run = [len](const auto& single, BlockId first) {
+        for (BlockId b = first; b < first + len; ++b) {
+          single(b, (b % 3 == 0) ? AccessMode::kWrite : AccessMode::kRead);
+        }
+      };
+      check_run_scenario(len, mode, [&](const auto& single, BlockId first) {
+        for (BlockId s = 0; s < 4; ++s) single(s, AccessMode::kWrite);
+        lay_run(single, first);
+        for (BlockId s = 4; s < 8; ++s) single(s, AccessMode::kRead);
+      }, len_tag + " intact");
+      check_run_scenario(len, mode, [&](const auto& single, BlockId first) {
+        for (BlockId s = 0; s < 4; ++s) single(s, AccessMode::kWrite);
+        lay_run(single, first);
+      }, len_tag + " at MRU");
+      for (std::int64_t k = 0; k + 1 < len; ++k) {
+        check_run_scenario(len, mode, [&](const auto& single, BlockId first) {
+          for (BlockId b = first; b < first + len; ++b) {
+            single(b, AccessMode::kRead);
+            if (b == first + k) single(10, AccessMode::kWrite);  // stranger after offset k
+          }
+          single(11, AccessMode::kRead);
+        }, len_tag + " stranger after " + std::to_string(k));
+      }
+      for (std::int64_t k = 0; k < len; ++k) {
+        check_run_scenario(len, mode, [&](const auto& single, BlockId first) {
+          for (BlockId b = first; b < first + len; ++b) {
+            // Block first+k's list slot goes to a stranger; the block itself
+            // is touched afterwards, away from the run.
+            single(b == first + k ? 12 : b, AccessMode::kRead);
+          }
+          single(13, AccessMode::kRead);
+          single(first + k, AccessMode::kWrite);
+          single(14, AccessMode::kRead);
+        }, len_tag + " displaced " + std::to_string(k));
+      }
+      for (std::int64_t j = 0; j < len; ++j) {
+        check_run_scenario(len, mode, [&](const auto& single, BlockId first) {
+          lay_run(single, first);  // the run sits at the LRU end of an empty cache
+          // Fill the rest of the 80-block cache, then evict j run blocks.
+          for (BlockId s = 0; s < 80 - len + j; ++s) single(20 + s, AccessMode::kRead);
+        }, len_tag + " evicted " + std::to_string(j));
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 // --- Contracts -----------------------------------------------------------
 
 TEST(BulkAccessContracts, RejectsSignedOverflow) {

@@ -114,7 +114,7 @@ TEST(PipelinePolicy, IdleWithoutCreditPlansNothingAndIsPure) {
   const StepPlan b = policy->next_step(view);
   EXPECT_FALSE(a.idle());
   EXPECT_EQ(a.component, b.component);
-  EXPECT_EQ(a.firings, b.firings);
+  EXPECT_EQ(a.program, b.program);
 }
 
 TEST(PipelinePolicy, DrainNeverPlansBeyondRemainingCredit) {
@@ -147,9 +147,15 @@ TEST(HomogeneousPolicy, SchedulableNeedsFullInputsEmptyOutputsAndCredit) {
   ASSERT_NE(c0, kNoComponent);
   const StepPlan step = policy->next_step(TestView(sim, m));
   EXPECT_EQ(step.component, c0);
-  // One execution = m local iterations of the component's members.
-  EXPECT_EQ(step.firings.size(),
-            static_cast<std::size_t>(m) * policy->members(c0).size());
+  // One execution = m local iterations of the component's members: one
+  // pass over the members, repeated m times.
+  EXPECT_EQ(step.program.total_firings(),
+            m * static_cast<std::int64_t>(policy->members(c0).size()));
+  EXPECT_EQ(step.program.repeat, m);
+  ASSERT_EQ(step.program.runs.size(), policy->members(c0).size());
+  for (std::size_t i = 0; i < step.program.runs.size(); ++i) {
+    EXPECT_EQ(step.program.runs[i], (FiringRun{policy->members(c0)[i], 1}));
+  }
 }
 
 TEST(HomogeneousPolicy, RejectsMultirateGraphs) {
@@ -182,9 +188,9 @@ TEST(Wrappers, PipelineWrapperReproducesPolicyRunExactly) {
   while (sim.fired(policy->sink()) < outputs) {
     const StepPlan step = policy->next_step(view);
     ASSERT_FALSE(step.idle());
-    execute(step.firings);
+    execute(step.program.expand());
   }
-  execute(policy->plan_drain(view));
+  execute(policy->plan_drain(view).expand());
 
   EXPECT_TRUE(sim.drained());
   EXPECT_EQ(period, wrapper.period);
