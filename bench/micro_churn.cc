@@ -28,8 +28,10 @@
 // earlier (a swap-in), and each burst is followed by run_until_idle +
 // swap_out_idle, like the churn-swap serving benchmark. The modeled work
 // per session (l1_misses_per_session) is the same at every window, so
-// us_per_session stays flat when the cluster's per-tick cost follows
-// resident sessions and grows with the window when it follows open ones.
+// us_per_session stays flat when the per-tick cost follows resident
+// sessions and grows with the window when it follows open ones.
+// BM_ServerChurnWindow runs the same loop on a core::Server over one
+// 4096-word cache (its one cache is the level l1_misses_per_session counts).
 
 #include <benchmark/benchmark.h>
 
@@ -113,46 +115,41 @@ BENCHMARK(BM_ChurnFlatMemory)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-void BM_ClusterChurnWindow(benchmark::State& state) {
+/// The sliding-window loop both churn-window arms share; `opts` builds a
+/// fresh Server or Cluster per iteration.
+template <class Frontend, class Options>
+void churn_window(benchmark::State& state, const Options& opts, std::int64_t cache_words) {
   constexpr std::int64_t kSessions = 8192;
   constexpr std::int64_t kItems = 16;
   constexpr std::size_t kRevisit = 48;
   const std::int64_t window = state.range(0);
   const auto g = workloads::uniform_pipeline(4, 48);
-  core::ClusterOptions opts;
-  opts.workers = 4;
-  opts.l1 = {4096, 8};
-  opts.placement = "adaptive";
-  opts.admission = "bounded-live";
-  opts.budget.max_live_sessions = 64;
-  opts.swap = true;
-  opts.band_words = std::int64_t{1} << 20;
-  const auto p = partition::pipeline_optimal_partition(g, 3 * opts.l1.capacity_words).partition;
+  const auto p = partition::pipeline_optimal_partition(g, 3 * cache_words).partition;
 
   session::LifecycleCounters last;
   std::int64_t misses = 0;
   for (auto _ : state) {
-    core::Cluster cluster(opts);
+    Frontend frontend(opts);
     std::deque<core::TenantId> open;
     const auto burst = [&](core::TenantId id) {
-      cluster.push(id, kItems);
-      cluster.run_until_idle();
-      cluster.swap_out_idle();
+      frontend.push(id, kItems);
+      frontend.run_until_idle();
+      frontend.swap_out_idle();
     };
     for (std::int64_t s = 0; s < kSessions; ++s) {
-      open.push_back(cluster.admit("s" + std::to_string(s), g, p));
+      open.push_back(frontend.admit("s" + std::to_string(s), g, p));
       burst(open.back());
       // Revisit the session opened kRevisit admissions ago (open at every
       // window): it was swapped out, so this burst pays a rehydration, and
       // the modeled work is the same at every window.
       if (open.size() > kRevisit) burst(open[open.size() - 1 - kRevisit]);
       if (static_cast<std::int64_t>(open.size()) > window) {
-        cluster.close(open.front());
+        frontend.close(open.front());
         open.pop_front();
       }
     }
-    last = cluster.lifecycle();
-    misses = cluster.report().aggregate.cache.misses;
+    last = frontend.lifecycle();
+    misses = frontend.report().aggregate.cache.misses;
     benchmark::DoNotOptimize(last);
   }
   state.SetItemsProcessed(kSessions * state.iterations());
@@ -164,7 +161,35 @@ void BM_ClusterChurnWindow(benchmark::State& state) {
   state.counters["l1_misses_per_session"] =
       static_cast<double>(misses) / static_cast<double>(kSessions);
 }
+
+void BM_ClusterChurnWindow(benchmark::State& state) {
+  core::ClusterOptions opts;
+  opts.workers = 4;
+  opts.l1 = {4096, 8};
+  opts.placement = "adaptive";
+  opts.admission = "bounded-live";
+  opts.budget.max_live_sessions = 64;
+  opts.swap = true;
+  opts.band_words = std::int64_t{1} << 20;
+  churn_window<core::Cluster>(state, opts, opts.l1.capacity_words);
+}
 BENCHMARK(BM_ClusterChurnWindow)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
+
+void BM_ServerChurnWindow(benchmark::State& state) {
+  core::ServerOptions opts;
+  opts.cache = {4096, 8};
+  opts.admission = "bounded-live";
+  opts.budget.max_live_sessions = 64;
+  opts.swap = true;
+  opts.band_words = std::int64_t{1} << 20;
+  churn_window<core::Server>(state, opts, opts.cache.capacity_words);
+}
+BENCHMARK(BM_ServerChurnWindow)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024)

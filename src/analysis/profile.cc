@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/table.h"
 
 namespace ccs::analysis {

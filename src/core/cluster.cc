@@ -8,7 +8,7 @@
 #include <thread>
 #include <utility>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/format.h"
 #include "util/stats.h"
@@ -16,10 +16,6 @@
 namespace ccs::core {
 
 namespace {
-
-// The engine reserves [2^40, ...) for external streams; tenant bands must
-// stay below it (mirrors kExternalInBase in runtime/engine.cc).
-constexpr std::int64_t kBandSpaceWords = std::int64_t{1} << 40;
 
 /// Shared "pure load balance" rule: least busy, then fewest tenants, then
 /// the session's current worker, then lowest id (every tie must break
@@ -227,22 +223,8 @@ void ClusterReport::write_json(std::ostream& os) const {
      << ", \"migration_noops\": " << migration_noops
      << ", \"retired_sessions\": " << retired_sessions
      << ", \"makespan\": " << makespan() << ", \"imbalance\": " << balance.str();
-  // The whole lifecycle block on ONE line: swap-on vs swap-off
-  // differentials strip it with `grep -v '"lifecycle"'` and byte-compare
-  // the rest.
-  os << ",\n  \"lifecycle\": {\"sessions_opened\": " << lifecycle.sessions_opened
-     << ", \"sessions_closed\": " << lifecycle.sessions_closed
-     << ", \"live_sessions\": " << lifecycle.live_sessions
-     << ", \"swapped_sessions\": " << lifecycle.swapped_sessions
-     << ", \"peak_live\": " << lifecycle.peak_live
-     << ", \"resident_words\": " << lifecycle.resident_words
-     << ", \"peak_resident_words\": " << lifecycle.peak_resident_words
-     << ", \"swap_outs\": " << lifecycle.swap_outs
-     << ", \"swap_ins\": " << lifecycle.swap_ins
-     << ", \"admissions_rejected\": " << lifecycle.admissions_rejected
-     << ", \"admissions_queued\": " << lifecycle.admissions_queued
-     << ", \"swap_stored_bytes\": " << swap_stored_bytes
-     << ", \"swap_peak_stored_bytes\": " << swap_peak_stored_bytes << "}";
+  os << ",\n  ";
+  write_lifecycle_json(os, lifecycle, swap_stored_bytes, swap_peak_stored_bytes);
   os << ",\n  \"retired\": {\"accesses\": " << retired.cache.accesses
      << ", \"misses\": " << retired.cache.misses
      << ", \"firings\": " << retired.firings
@@ -310,7 +292,9 @@ void ClusterReport::write_json(std::ostream& os) const {
 Cluster::Cluster(ClusterOptions options, const PlacementRegistry* registry)
     : options_(std::move(options)),
       pool_(runtime::WorkerPoolOptions{options_.workers, options_.l1,
-                                       options_.llc_words, options_.llc_shards}) {
+                                       options_.llc_words, options_.llc_shards}),
+      host_("ClusterOptions", options_.l1, options_.band_words, options_.admission,
+            options_.budget, options_.swap, &cost_model_) {
   const PlacementRegistry& reg =
       registry != nullptr ? *registry : PlacementRegistry::global();
   latency::CostContext cost_ctx;
@@ -319,12 +303,6 @@ Cluster::Cluster(ClusterOptions options, const PlacementRegistry* registry)
   cost_ctx.has_llc = options_.llc_words > 0;
   cost_model_ = latency::CostModelRegistry::global().build(options_.cost_model, cost_ctx);
   policy_ = reg.find(options_.placement).build();
-  admission_ = session::AdmissionRegistry::global().build(options_.admission,
-                                                          options_.budget);
-  if (options_.band_words < options_.l1.block_words ||
-      options_.band_words % options_.l1.block_words != 0) {
-    throw Error("band_words must be a positive multiple of the cache block size");
-  }
   workers_.resize(static_cast<std::size_t>(pool_.size()));
   // The estimator classifies against the cache a session actually runs in.
   if (options_.adaptive.footprint.budget_words == 0) {
@@ -337,95 +315,25 @@ Cluster::Cluster(ClusterOptions options, const PlacementRegistry* registry)
 TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
                         const partition::Partition& p, StreamOptions options,
                         std::int64_t m) {
-  CCS_EXPECTS(!name.empty(), "tenant name must be non-empty");
-  CCS_EXPECTS(m >= 0, "tenant cache share must be non-negative");
-  if (names_.count(name) != 0) throw Error("tenant '" + name + "' is already admitted");
-  const std::int64_t effective_m = m > 0 ? m : options_.l1.capacity_words;
-
-  // Build the session's plan and price it before anything else (see
-  // Server::admit).
-  auto plan = std::make_shared<StreamPlan>(g, p, effective_m, options_.l1.block_words,
-                                           std::move(options));
-  const std::int64_t layout_words = plan->layout->footprint_words();
-  if (layout_words > options_.band_words) {
-    throw Error("session layout (" + std::to_string(layout_words) +
-                " words) exceeds band_words (" + std::to_string(options_.band_words) +
-                "); raise ClusterOptions::band_words");
-  }
-
-  session::AdmissionRequest arequest;
-  arequest.layout_words = layout_words;
-  bool evicted_for_room = false;
-  while (!admission_->admits(current_load(), arequest)) {
-    const session::SwapManager::SessionKey victim =
-        options_.swap
-            ? swap_.victim_if([this](session::SwapManager::SessionKey k) {
-                return tenants_.at(static_cast<TenantId>(k)).idle;
-              })
-            : session::SwapManager::kNone;
-    if (victim == session::SwapManager::kNone) {
-      ++lifecycle_.admissions_rejected;
-      return kNoTenant;
-    }
-    const TenantId vid = static_cast<TenantId>(victim);
-    swap_out_tenant(vid, tenants_.at(vid));
-    evicted_for_room = true;
-  }
-  if (evicted_for_room) ++lifecycle_.admissions_queued;
-
-  // Same banding scheme as core::Server: each session gets a disjoint
-  // band_words-wide slab below the engines' external-stream bands, so
-  // sessions contend for cache blocks on whatever worker (and shared LLC)
-  // they meet instead of silently aliasing. Closed sessions' bands recycle.
-  std::int64_t band;
-  if (!free_bands_.empty()) {
-    band = *free_bands_.begin();
-    free_bands_.erase(free_bands_.begin());
-  } else {
-    if (next_band_ >= kBandSpaceWords / options_.band_words) {
-      throw Error("cluster address space exhausted: at most " +
-                  std::to_string(kBandSpaceWords / options_.band_words) +
-                  " co-open sessions at band_words=" +
-                  std::to_string(options_.band_words) +
-                  " (close sessions or shrink band_words)");
-    }
-    band = next_band_++;
-  }
-  plan->options.engine.address_base = band * options_.band_words;
-
-  const TenantId id = next_id_;
-  PlacementRequest request;
-  request.tenant = id;
-  request.current = kNoWorker;
-  request.state_words = plan->layout->state_words();
-  request.resident_blocks.assign(static_cast<std::size_t>(pool_.size()), 0);
-  const WorkerId home = checked_placement(request);
-
-  Tenant t;
-  t.id = id;
-  t.name = std::move(name);
-  t.worker = home;
-  t.band = band;
-  t.plan = std::move(plan);
-  t.stream = std::make_unique<Stream>(t.plan, pool_.worker_cache(home));
-  t.stream->set_cost_model(&cost_model_);
-  const auto [it, inserted] = tenants_.emplace(id, std::move(t));
-  CCS_CHECK(inserted, "tenant id reused");
-  ++next_id_;
-  Tenant& placed = it->second;
-  names_.insert(placed.name);
-  resident_.emplace(id, &placed);
-  Worker& worker = workers_[static_cast<std::size_t>(home)];
-  worker.tenants.push_back(&placed);
+  Tenant* placed = host_.admit(
+      std::move(name), g, p, std::move(options), m, [this](Tenant& t) -> iomodel::CacheSim& {
+        PlacementRequest request;
+        request.tenant = t.id;
+        request.current = kNoWorker;
+        request.state_words = t.plan->layout->state_words();
+        request.resident_blocks.assign(static_cast<std::size_t>(pool_.size()), 0);
+        t.worker = checked_placement(request);
+        return pool_.worker_cache(t.worker);
+      });
+  if (placed == nullptr) return kNoTenant;
+  Worker& worker = workers_[static_cast<std::size_t>(placed->worker)];
+  worker.tenants.push_back(placed);
   ++worker.runnable;  // a new session is not idle until a step finds it blocked
-  ++lifecycle_.sessions_opened;
-  lifecycle_.on_resident(layout_words);
-  swap_.admit(id);
   // Seed the footprint estimate from the gain-analysis layout (state plus
   // channel rings) -- the paper's working-set bound made concrete.
-  const runtime::FootprintSample seed = placed.stream->footprint_sample();
-  estimator_.add_session(id, seed.layout_words, seed.state_words);
-  return id;
+  const runtime::FootprintSample seed = placed->stream->footprint_sample();
+  estimator_.add_session(placed->id, seed.layout_words, seed.state_words);
+  return placed->id;
 }
 
 TenantId Cluster::admit(std::string name, const Planner& planner, const Plan& plan,
@@ -433,166 +341,40 @@ TenantId Cluster::admit(std::string name, const Planner& planner, const Plan& pl
   return admit(std::move(name), planner.graph(), plan.partition, std::move(options));
 }
 
-void Cluster::throw_unknown_tenant(TenantId id) const {
-  std::string msg = "unknown tenant id " + std::to_string(id) + "; live tenants:";
-  if (tenants_.empty()) {
-    msg += " (none)";
-  } else {
-    bool first = true;
-    for (const auto& [tid, t] : tenants_) {
-      msg += (first ? " " : ", ");
-      msg += std::to_string(tid) + " '" + t.name + "'";
-      first = false;
-    }
-  }
-  throw Error(msg);
-}
+Stream& Cluster::stream(TenantId id) { return *host_.resident(id).stream; }
 
-Cluster::Tenant& Cluster::tenant(TenantId id) {
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) throw_unknown_tenant(id);
-  return it->second;
-}
+const Stream& Cluster::stream(TenantId id) const { return host_.stream(id); }
 
-const Cluster::Tenant& Cluster::tenant(TenantId id) const {
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) throw_unknown_tenant(id);
-  return it->second;
-}
+const std::string& Cluster::tenant_name(TenantId id) const { return host_.session(id).name; }
 
-session::AdmissionLoad Cluster::current_load() const {
-  session::AdmissionLoad load;
-  load.live_sessions = lifecycle_.live_sessions;
-  load.resident_words = lifecycle_.resident_words;
-  return load;
-}
-
-void Cluster::swap_out_tenant(TenantId id, Tenant& t) {
-  CCS_EXPECTS(t.stream != nullptr, "tenant is already swapped out");
-  const StreamState state = t.stream->save_state();
-  t.totals = state.totals;
-  t.steps = state.steps;
-  t.outputs = t.stream->outputs_produced();
-  session::SessionSnapshot snapshot;
-  snapshot.engine = state.engine;
-  snapshot.totals = state.totals;
-  snapshot.steps = state.steps;
-  session::SwapImage image = session::SwapImage::pack(snapshot);
-  // Same round-trip self-check as Server::swap_out_tenant: the image is the
-  // session's only copy once the host objects are freed.
-  CCS_AUDIT(image.unpack() == snapshot,
-            "swap image does not round-trip the session snapshot");
-  swap_.swap_out(id, std::move(image));
-  t.stream.reset();
-  resident_.erase(id);
-  mark_idle(t);  // swapped sessions are idle by construction
-  lifecycle_.on_nonresident(t.plan->layout->footprint_words());
-  ++lifecycle_.swapped_sessions;
-  ++lifecycle_.swap_outs;
-}
-
-void Cluster::rehydrate(TenantId id, Tenant& t) {
-  CCS_EXPECTS(t.stream == nullptr, "tenant is not swapped out");
-  const session::SessionSnapshot snapshot = swap_.swap_in(id).unpack();
-  // Back onto the worker that last served it -- placement is pinned across
-  // a swap, so swap-on and swap-off runs make identical decisions.
-  t.stream = std::make_unique<Stream>(t.plan, pool_.worker_cache(t.worker));
-  t.stream->set_cost_model(&cost_model_);
-  resident_.emplace(id, &t);
-  StreamState state;
-  state.engine = snapshot.engine;
-  state.totals = snapshot.totals;
-  state.steps = snapshot.steps;
-  t.stream->restore_state(state);
-  lifecycle_.on_resident(t.plan->layout->footprint_words());
-  --lifecycle_.swapped_sessions;
-  ++lifecycle_.swap_ins;
-}
-
-Stream& Cluster::stream(TenantId id) {
-  Tenant& t = tenant(id);
-  if (t.stream == nullptr) rehydrate(id, t);
-  return *t.stream;
-}
-
-const Stream& Cluster::stream(TenantId id) const {
-  const Tenant& t = tenant(id);
-  if (t.stream == nullptr) {
-    throw Error("tenant " + std::to_string(id) +
-                " is swapped out; use the non-const accessor to rehydrate");
-  }
-  return *t.stream;
-}
-
-const std::string& Cluster::tenant_name(TenantId id) const { return tenant(id).name; }
-
-WorkerId Cluster::worker_of(TenantId id) const { return tenant(id).worker; }
+WorkerId Cluster::worker_of(TenantId id) const { return host_.session(id).worker; }
 
 session::SessionState Cluster::state_of(TenantId id) const {
-  const Tenant& t = tenant(id);
-  if (t.stream == nullptr) return session::SessionState::kSwapped;
-  return t.idle ? session::SessionState::kIdle : session::SessionState::kLive;
+  return SessionHost::state_of(host_.session(id));
 }
 
-bool Cluster::swapped(TenantId id) const { return tenant(id).stream == nullptr; }
+bool Cluster::swapped(TenantId id) const { return host_.session(id).stream == nullptr; }
 
-void Cluster::swap_out(TenantId id) {
-  CCS_EXPECTS(options_.swap, "swap_out requires ClusterOptions::swap");
-  Tenant& t = tenant(id);
-  if (t.stream == nullptr) {
-    throw Error("tenant " + std::to_string(id) + " is already swapped out");
-  }
-  if (!t.idle) {
-    throw Error("tenant " + std::to_string(id) +
-                " is not idle; only idle sessions can be swapped out");
-  }
-  swap_out_tenant(id, t);
-}
+void Cluster::swap_out(TenantId id) { host_.swap_out(id); }
 
-std::int64_t Cluster::swap_out_idle() {
-  CCS_EXPECTS(options_.swap, "swap_out_idle requires ClusterOptions::swap");
-  std::int64_t evicted = 0;
-  for (auto it = resident_.begin(); it != resident_.end();) {
-    Tenant& t = *(it++)->second;  // advance first: swap_out_tenant erases the entry
-    if (t.idle) {
-      swap_out_tenant(t.id, t);
-      ++evicted;
-    }
-  }
-  return evicted;
-}
+std::int64_t Cluster::swap_out_idle() { return host_.swap_out_idle(); }
 
 void Cluster::close(TenantId id) {
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) throw_unknown_tenant(id);
-  Tenant& t = it->second;
-  if (t.stream != nullptr) {
-    retired_ += t.stream->stats();
-    lifecycle_.on_nonresident(t.plan->layout->footprint_words());
-    resident_.erase(id);
-  } else {
-    retired_ += t.totals;
-    --lifecycle_.swapped_sessions;
-  }
+  Tenant& t = host_.session(id);
   mark_idle(t);
   Worker& home = workers_[static_cast<std::size_t>(t.worker)];
   home.tenants.erase(std::find(home.tenants.begin(), home.tenants.end(), &t));
   home.cursor = 0;  // keep the rotation point deterministic after the edit
-  swap_.erase(id);
   estimator_.remove_session(id);
-  names_.erase(t.name);
-  free_bands_.insert(t.band);
-  tenants_.erase(it);
-  ++lifecycle_.sessions_closed;
+  host_.close(t);
 }
 
 std::int64_t Cluster::push(TenantId id, std::int64_t items) {
-  Tenant& t = tenant(id);
-  if (t.stream == nullptr) rehydrate(id, t);
+  Tenant& t = host_.resident(id);
   const std::int64_t accepted = t.stream->push(items);
   if (accepted > 0) {
     mark_runnable(t);  // new arrivals may unblock the session
-    swap_.touch(id);
+    host_.touch(id);
   }
   return accepted;
 }
@@ -693,7 +475,7 @@ std::vector<ClusterWorkerStatus> Cluster::worker_statuses() const {
   if (adaptive_active()) {
     // Only resident sessions carry cache pressure (a swapped one has no
     // live footprint), so the resident set is all there is to sum.
-    for (const auto& [id, t] : resident_) {
+    for (const auto& [id, t] : host_.resident_set()) {
       if (estimator_.hot(id)) {
         out[static_cast<std::size_t>(t->worker)].hot_words += estimator_.footprint_words(id);
       }
@@ -703,7 +485,7 @@ std::vector<ClusterWorkerStatus> Cluster::worker_statuses() const {
 }
 
 PlacementRequest Cluster::request_for(TenantId id) const {
-  const Tenant& t = tenant(id);
+  const Tenant& t = host_.session(id);
   PlacementRequest request;
   request.tenant = id;
   request.current = t.worker;
@@ -733,7 +515,7 @@ std::int64_t Cluster::rebalance() {
   // and no live footprint to shed; they re-enter placement churn only after
   // rehydration. Moving a resident tenant leaves the resident set as it
   // is, so the set can be walked while migrating.
-  for (const auto& [id, t] : resident_) {
+  for (const auto& [id, t] : host_.resident_set()) {
     const WorkerId target = checked_placement(request_for(id));
     if (target != t->worker) {
       migrate(id, target);
@@ -755,7 +537,7 @@ std::int64_t Cluster::adapt() {
 
 void Cluster::observe_footprints() {
   // Swapped sessions have no live traffic to window; they are not observed.
-  for (const auto& [id, t] : resident_) {
+  for (const auto& [id, t] : host_.resident_set()) {
     const runtime::FootprintSample sample = t->stream->footprint_sample();
     placement::FootprintObservation o;
     o.accesses = sample.accesses;
@@ -772,7 +554,7 @@ bool Cluster::migration_trigger_fired() {
   // allowance of the private cache.
   const std::int64_t allowance = options_.l1.capacity_words * a.oversub_permille / 1000;
   std::vector<std::int64_t> hot_words(workers_.size(), 0);
-  for (const auto& [id, t] : resident_) {
+  for (const auto& [id, t] : host_.resident_set()) {
     if (estimator_.hot(id)) {
       hot_words[static_cast<std::size_t>(t->worker)] += estimator_.footprint_words(id);
     }
@@ -800,11 +582,9 @@ bool Cluster::migration_trigger_fired() {
 }
 
 void Cluster::migrate(TenantId id, WorkerId target) {
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) throw_unknown_tenant(id);
+  Tenant& t = host_.session(id);
   CCS_EXPECTS(target >= 0 && target < worker_count(), "worker id out of range");
-  Tenant& t = it->second;
-  if (t.stream == nullptr) rehydrate(id, t);  // a move touches live state
+  if (t.stream == nullptr) host_.rehydrate(t);  // a move touches live state
   if (t.worker == target) {
     // Counted no-op: nothing reloads, nothing moves, but drivers retrying
     // placement decisions can see how often they asked for one.
@@ -820,13 +600,16 @@ void Cluster::migrate(TenantId id, WorkerId target) {
     --from.runnable;
     ++to.runnable;
   }
-  t.stream->migrate_cache(pool_.worker_cache(target));
+  t.cache = &pool_.worker_cache(target);
+  t.stream->migrate_cache(*t.cache);
   t.worker = target;
   ++t.migrations;
   ++migrations_;
 }
 
 void Cluster::audit_invariants() const {
+  host_.audit_invariants();
+  const std::map<TenantId, Tenant>& sessions = host_.sessions();
   // Slot lists: every entry is an open tenant placed on that worker, and
   // every open tenant appears exactly once across all lists.
   std::set<TenantId> placed;
@@ -834,10 +617,12 @@ void Cluster::audit_invariants() const {
     const Worker& worker = workers_[w];
     std::int64_t runnable = 0;
     for (const Tenant* t : worker.tenants) {
-      const auto it = tenants_.find(t->id);
-      CCS_CHECK(it != tenants_.end() && &it->second == t,
+      const auto it = sessions.find(t->id);
+      CCS_CHECK(it != sessions.end() && &it->second == t,
                 "worker slot does not point at an open tenant");
       CCS_CHECK(t->worker == static_cast<WorkerId>(w), "tenant slotted on a foreign worker");
+      CCS_CHECK(t->cache == &pool_.worker_cache(t->worker),
+                "tenant rehydrates on a foreign worker's cache");
       CCS_CHECK(placed.insert(t->id).second, "tenant slotted more than once");
       if (!t->idle) ++runnable;
     }
@@ -845,32 +630,17 @@ void Cluster::audit_invariants() const {
     CCS_CHECK(worker.cursor == 0 || worker.cursor < worker.tenants.size(),
               "worker rotation cursor outside its slot list");
   }
-  CCS_CHECK(placed.size() == tenants_.size(), "open tenant missing from every worker");
-  // Resident set: exactly the tenants with a live Stream, in id order.
-  std::size_t resident = 0;
-  for (const auto& [id, t] : tenants_) {
-    CCS_CHECK(t.id == id, "tenant id disagrees with its key");
-    const auto r = resident_.find(id);
-    if (t.stream != nullptr) {
-      ++resident;
-      CCS_CHECK(r != resident_.end() && r->second == &t,
-                "resident tenant missing from the resident set");
-    } else {
-      CCS_CHECK(r == resident_.end(), "swapped tenant in the resident set");
-      CCS_CHECK(t.idle, "swapped tenant is not idle");
-    }
-    CCS_CHECK(names_.count(t.name) == 1, "open tenant missing from the name index");
+  CCS_CHECK(placed.size() == sessions.size(), "open tenant missing from every worker");
+  for (const auto& [id, t] : sessions) {
     CCS_CHECK(estimator_.contains(id), "open tenant missing from the footprint estimator");
   }
-  CCS_CHECK(resident_.size() == resident, "resident set holds a closed or swapped tenant");
-  CCS_CHECK(names_.size() == tenants_.size(), "name index holds a closed tenant");
-  CCS_CHECK(static_cast<std::size_t>(estimator_.session_count()) == tenants_.size(),
+  CCS_CHECK(static_cast<std::size_t>(estimator_.session_count()) == sessions.size(),
             "footprint estimator holds a closed tenant");
 }
 
 void Cluster::drain_all() {
-  for (auto& [id, t] : tenants_) {
-    if (t.stream == nullptr) rehydrate(id, t);
+  for (auto& [id, t] : host_.sessions()) {
+    if (t.stream == nullptr) host_.rehydrate(t);
     const runtime::RunResult r = t.stream->drain();
     // Drain work executes on the tenant's worker cache; account its cost
     // there so makespan covers the tail work too (it is priced but not a
@@ -890,32 +660,10 @@ ClusterReport Cluster::report() const {
   report.migrations = migrations_;
   report.auto_migrations = auto_migrations_;
   report.migration_noops = migration_noops_;
-  report.retired = retired_;
-  report.retired_sessions = lifecycle_.sessions_closed;
-  report.lifecycle = lifecycle_;
-  report.swap_stored_bytes = swap_.stored_bytes();
-  report.swap_peak_stored_bytes = swap_.peak_stored_bytes();
-  report.aggregate = retired_;
-  for (const auto& [id, t] : tenants_) {
-    ClusterTenantReport row;
-    row.id = id;
-    row.name = t.name;
-    if (t.stream != nullptr) {
-      row.state = t.idle ? session::SessionState::kIdle : session::SessionState::kLive;
-      row.totals = t.stream->stats();
-      row.steps = t.stream->steps();
-      row.outputs = t.stream->outputs_produced();
-    } else {
-      row.state = session::SessionState::kSwapped;
-      row.totals = t.totals;
-      row.steps = t.steps;
-      row.outputs = t.outputs;
-    }
+  host_.fill_report(report, [](const Tenant& t, ClusterTenantReport& row) {
     row.worker = t.worker;
     row.migrations = t.migrations;
-    report.aggregate += row.totals;
-    report.tenants.push_back(std::move(row));
-  }
+  });
   for (WorkerId w = 0; w < worker_count(); ++w) {
     const Worker& worker = workers_[static_cast<std::size_t>(w)];
     ClusterWorkerReport row;

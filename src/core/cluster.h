@@ -49,20 +49,21 @@
 // band (ClusterOptions::band_words, default 2^36), so sessions contend for
 // cache blocks instead of aliasing, on whichever worker they land.
 //
-// Session lifecycle mirrors core::Server: admit() consults a
-// session::AdmissionPolicy, close() retires a session forever (folding its
-// totals into the report's `retired` aggregate and recycling its band), and
-// with the swap tier enabled idle sessions serialize to compact
-// session::SwapImages and rehydrate transparently on the next push --
-// always back onto the worker that last served them. Swapped sessions are
-// pinned and unobserved, so placement decisions, per-tenant counters, and
-// report JSON are bit-identical between swap-on and swap-off runs as long
-// as no rebalance (explicit, or adaptive placement's automatic one) runs
-// while a session is swapped; a swap-off run may move those idle sessions.
+// Sessions live in a core::SessionHost, the lifecycle Server shares:
+// admit() consults a session::AdmissionPolicy, close() retires a session
+// forever (folding its totals into the report's `retired` aggregate and
+// recycling its band), and with the swap tier enabled idle sessions
+// serialize to compact session::SwapImages and rehydrate transparently on
+// the next push -- always back onto the worker that last served them.
+// Swapped sessions are pinned and unobserved, so placement decisions,
+// per-tenant counters, and report JSON are bit-identical between swap-on
+// and swap-off runs as long as no rebalance (explicit, or adaptive
+// placement's automatic one) runs while a session is swapped; a swap-off
+// run may move those idle sessions.
 //
-// Scheduling cost follows resident work: each worker keeps Tenant* slots
-// and a count of its runnable (non-idle) tenants, and the resident
-// sessions are kept as a set in id order, so a step, swap_out_idle(),
+// Scheduling cost follows resident work: each worker keeps Session* slots
+// and a count of its runnable (non-idle) tenants, and the host keeps the
+// resident sessions as a set in id order, so a step, swap_out_idle(),
 // adapt() and rebalance() never walk idle-and-swapped sessions.
 //
 //   core::ClusterOptions copts;
@@ -82,14 +83,12 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/server.h"
+#include "core/session_host.h"
 #include "core/stream.h"
 #include "latency/cost_model.h"
 #include "latency/histogram.h"
@@ -100,11 +99,6 @@
 #include "util/registry.h"
 
 namespace ccs::core {
-
-/// Dense worker index within one Cluster. Valid ids are 0..worker_count()-1.
-using WorkerId = std::int32_t;
-
-inline constexpr WorkerId kNoWorker = -1;
 
 /// What a placement policy may consult about one worker.
 struct ClusterWorkerStatus {
@@ -204,7 +198,9 @@ struct ClusterOptions {
   std::string admission = "unbounded";
   session::AdmissionBudget budget;
 
-  /// Enable the idle-session swap tier (see core::Server::swap).
+  /// Enable the idle-session swap tier: an admission the policy refuses
+  /// evicts the least-recently-active idle session and retries; swapped
+  /// sessions rehydrate transparently on their next push().
   bool swap = false;
 
   /// Simulated address-space words reserved per open session; must be a
@@ -304,10 +300,10 @@ class Cluster {
   TenantId admit(std::string name, const sdf::SdfGraph& g, const partition::Partition& p,
                  StreamOptions options = {}, std::int64_t m = 0);
 
-  /// Retires session `id` forever (see Server::close): totals fold into
-  /// the report's `retired` aggregate, the band returns to the free list,
-  /// and the id is rejected from then on. Throws ccs::Error naming the live
-  /// tenants for an unknown or already-closed id.
+  /// Retires session `id` forever: totals fold into the report's
+  /// `retired` aggregate, the band returns to the free list, and the id is
+  /// rejected from then on. Throws ccs::Error naming the live tenants for
+  /// an unknown or already-closed id.
   void close(TenantId id);
 
   /// Convenience: admit a Planner plan (graph and partition from the plan's
@@ -315,9 +311,7 @@ class Cluster {
   TenantId admit(std::string name, const Planner& planner, const Plan& plan,
                  StreamOptions options = {});
 
-  std::int32_t tenant_count() const noexcept {
-    return static_cast<std::int32_t>(tenants_.size());
-  }
+  std::int32_t tenant_count() const noexcept { return host_.size(); }
   std::int32_t worker_count() const noexcept { return pool_.size(); }
 
   /// The tenant's session (for pushes, polls, or direct stepping).
@@ -343,7 +337,7 @@ class Cluster {
   std::int64_t swap_out_idle();
 
   /// Residency + admission counters (live view of the report's lifecycle).
-  const session::LifecycleCounters& lifecycle() const noexcept { return lifecycle_; }
+  const session::LifecycleCounters& lifecycle() const noexcept { return host_.lifecycle(); }
 
   /// Worker currently serving tenant `id`.
   WorkerId worker_of(TenantId id) const;
@@ -384,14 +378,13 @@ class Cluster {
   /// migration disabled.
   std::int64_t adapt();
 
-  /// Recounts the scheduling bookkeeping from tenants_ and throws
-  /// ContractViolation on the first mismatch: every open tenant sits in
-  /// exactly its own worker's slot list, each worker's runnable count equals
-  /// its non-idle tenants, the resident set holds exactly the tenants with
-  /// a live Stream (swapped ones idle), and the name index and footprint
-  /// estimator hold exactly the open sessions. Audit builds
-  /// (-DCCS_AUDIT=ON) run it at run_until_idle/run_threads entry; tests may
-  /// call it in any build.
+  /// Recounts the scheduling bookkeeping from the session table and throws
+  /// ContractViolation on the first mismatch: the host's own recount
+  /// (SessionHost::audit_invariants), every open tenant in exactly its own
+  /// worker's slot list, each worker's runnable count equal to its non-idle
+  /// tenants, and the footprint estimator holding exactly the open
+  /// sessions. Audit builds (-DCCS_AUDIT=ON) run it at
+  /// run_until_idle/run_threads entry; tests may call it in any build.
   void audit_invariants() const;
 
   /// Moves tenant `id` to worker `target`. Moving a tenant to its current
@@ -412,32 +405,16 @@ class Cluster {
   runtime::WorkerPool& pool() noexcept { return pool_; }
 
  private:
-  struct Tenant {
-    TenantId id = kNoTenant;
-    std::string name;
-    /// Built once at admission, engine.address_base baked in; serves the
-    /// first Stream and every rehydration (see Server::Tenant).
-    std::shared_ptr<const StreamPlan> plan;
-    std::unique_ptr<Stream> stream;  ///< Null while swapped out.
-    WorkerId worker = kNoWorker;
-    /// Known-blocked until new arrivals. Change it only through
-    /// mark_idle/mark_runnable (and worker_step), which keep the worker's
-    /// runnable count in step.
-    bool idle = false;
-    std::int64_t migrations = 0;
-    std::int64_t band = 0;          ///< Address-band index.
-
-    // Report summary cached at swap-out so report() never rehydrates.
-    runtime::RunResult totals;
-    std::int64_t steps = 0;
-    std::int64_t outputs = 0;
-  };
+  /// A tenant's `idle` flag changes only through mark_idle/mark_runnable
+  /// (and worker_step), which keep its worker's runnable count in step; the
+  /// host swaps out only sessions that are already idle.
+  using Tenant = SessionHost::Session;
 
   /// Per-worker scheduling state. In thread mode each worker's struct is
   /// touched only by its own thread (tenants never span workers).
   struct Worker {
-    /// Placement, in arrival-at-worker order. Points into tenants_, whose
-    /// std::map nodes never move.
+    /// Placement, in arrival-at-worker order. Points into the host's
+    /// session table, whose std::map nodes never move.
     std::vector<Tenant*> tenants;
     std::size_t cursor = 0;         ///< Rotation point into `tenants`.
     std::int64_t runnable = 0;      ///< Non-idle entries of `tenants`.
@@ -456,18 +433,6 @@ class Cluster {
   /// tenant's worker's runnable count in step.
   void mark_idle(Tenant& t);
   void mark_runnable(Tenant& t);
-
-  Tenant& tenant(TenantId id);
-  const Tenant& tenant(TenantId id) const;
-  [[noreturn]] void throw_unknown_tenant(TenantId id) const;
-
-  /// Serializes a resident tenant into the swap tier and frees its Stream.
-  void swap_out_tenant(TenantId id, Tenant& t);
-
-  /// Rebuilds a swapped tenant's Stream (on its pinned worker's cache).
-  void rehydrate(TenantId id, Tenant& t);
-
-  session::AdmissionLoad current_load() const;
 
   PlacementRequest request_for(TenantId id) const;
   std::vector<ClusterWorkerStatus> worker_statuses() const;
@@ -490,20 +455,7 @@ class Cluster {
   runtime::WorkerPool pool_;
   latency::CostModel cost_model_;  ///< Prices every tenant step; streams point at it.
   std::unique_ptr<PlacementPolicy> policy_;
-  std::unique_ptr<session::AdmissionPolicy> admission_;
-  std::map<TenantId, Tenant> tenants_;  ///< Open sessions only, O(live+swapped).
-  /// The resident (not swapped) subset of tenants_, in id order: what
-  /// swap-out, footprint observation, migration triggers, rebalancing and
-  /// worker statuses walk, so their cost follows resident sessions, not
-  /// open ones.
-  std::map<TenantId, Tenant*> resident_;
-  std::unordered_set<std::string> names_;  ///< Names of open sessions.
-  TenantId next_id_ = 0;                ///< Ids are never reused.
-  std::set<std::int64_t> free_bands_;   ///< Bands returned by close().
-  std::int64_t next_band_ = 0;
-  session::SwapManager swap_;
-  session::LifecycleCounters lifecycle_;
-  runtime::RunResult retired_;          ///< Folded totals of closed sessions.
+  SessionHost host_;
   std::vector<Worker> workers_;
   placement::FootprintEstimator estimator_;
   std::vector<iomodel::CacheStats> l1_window_base_;  ///< Per-worker thrash windows.

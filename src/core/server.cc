@@ -4,17 +4,13 @@
 #include <ostream>
 #include <utility>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/format.h"
 
 namespace ccs::core {
 
 namespace {
-
-// The engine reserves [2^40, ...) for external streams; tenant bands must
-// stay below it (mirrors kExternalInBase in runtime/engine.cc).
-constexpr std::int64_t kBandSpaceWords = std::int64_t{1} << 40;
 
 /// Fair timesharing: rotate through runnable tenants in id order, resuming
 /// after the last pick.
@@ -89,22 +85,8 @@ void ServerReport::write_json(std::ostream& os) const {
   os << ",\n  \"shared_cache\": {\"accesses\": " << shared_cache.accesses
      << ", \"hits\": " << shared_cache.hits << ", \"misses\": " << shared_cache.misses
      << ", \"writebacks\": " << shared_cache.writebacks << "}";
-  // The whole lifecycle block on ONE line: swap-on vs swap-off
-  // differentials strip it with `grep -v '"lifecycle"'` and byte-compare
-  // the rest.
-  os << ",\n  \"lifecycle\": {\"sessions_opened\": " << lifecycle.sessions_opened
-     << ", \"sessions_closed\": " << lifecycle.sessions_closed
-     << ", \"live_sessions\": " << lifecycle.live_sessions
-     << ", \"swapped_sessions\": " << lifecycle.swapped_sessions
-     << ", \"peak_live\": " << lifecycle.peak_live
-     << ", \"resident_words\": " << lifecycle.resident_words
-     << ", \"peak_resident_words\": " << lifecycle.peak_resident_words
-     << ", \"swap_outs\": " << lifecycle.swap_outs
-     << ", \"swap_ins\": " << lifecycle.swap_ins
-     << ", \"admissions_rejected\": " << lifecycle.admissions_rejected
-     << ", \"admissions_queued\": " << lifecycle.admissions_queued
-     << ", \"swap_stored_bytes\": " << swap_stored_bytes
-     << ", \"swap_peak_stored_bytes\": " << swap_peak_stored_bytes << "}";
+  os << ",\n  ";
+  write_lifecycle_json(os, lifecycle, swap_stored_bytes, swap_peak_stored_bytes);
   os << ",\n  \"tenants\": [";
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const TenantReport& t = tenants[i];
@@ -119,103 +101,22 @@ void ServerReport::write_json(std::ostream& os) const {
 }
 
 Server::Server(ServerOptions options, const TenantRegistry* registry)
-    : options_(std::move(options)) {
-  validate_cache_geometry(options_.cache);
+    : options_(std::move(options)),
+      host_("ServerOptions", options_.cache, options_.band_words, options_.admission,
+            options_.budget, options_.swap) {
   const TenantRegistry& reg = registry != nullptr ? *registry : TenantRegistry::global();
   policy_ = reg.find(options_.tenant_policy).build();
-  admission_ = session::AdmissionRegistry::global().build(options_.admission,
-                                                          options_.budget);
-  if (options_.band_words < options_.cache.block_words ||
-      options_.band_words % options_.cache.block_words != 0) {
-    throw Error("band_words must be a positive multiple of the cache block size");
-  }
   cache_ = std::make_unique<iomodel::LruCache>(options_.cache);
   baseline_ = cache_->stats();
-}
-
-session::AdmissionLoad Server::current_load() const {
-  session::AdmissionLoad load;
-  load.live_sessions = lifecycle_.live_sessions;
-  load.resident_words = lifecycle_.resident_words;
-  return load;
 }
 
 TenantId Server::admit(std::string name, const sdf::SdfGraph& g,
                        const partition::Partition& p, StreamOptions options,
                        std::int64_t m) {
-  CCS_EXPECTS(!name.empty(), "tenant name must be non-empty");
-  CCS_EXPECTS(m >= 0, "tenant cache share must be non-negative");
-  for (const auto& [id, t] : tenants_) {
-    if (t.name == name) throw Error("tenant '" + name + "' is already admitted");
-  }
-  const std::int64_t effective_m = m > 0 ? m : options_.cache.capacity_words;
-
-  // Build the session's plan and price it before building anything else:
-  // the admission decision needs its layout footprint, a pure function of
-  // the graph and the online policy's buffer capacities.
-  auto plan = std::make_shared<StreamPlan>(g, p, effective_m, options_.cache.block_words,
-                                           std::move(options));
-  const std::int64_t layout_words = plan->layout->footprint_words();
-  if (layout_words > options_.band_words) {
-    throw Error("session layout (" + std::to_string(layout_words) +
-                " words) exceeds band_words (" + std::to_string(options_.band_words) +
-                "); raise ServerOptions::band_words");
-  }
-
-  session::AdmissionRequest request;
-  request.layout_words = layout_words;
-  bool evicted_for_room = false;
-  while (!admission_->admits(current_load(), request)) {
-    // Make room by evicting the least-recently-active idle session; a
-    // session doing work is never a victim (it would have to rehydrate
-    // before its very next step).
-    const session::SwapManager::SessionKey victim =
-        options_.swap
-            ? swap_.victim_if([this](session::SwapManager::SessionKey k) {
-                return tenants_.at(static_cast<TenantId>(k)).idle;
-              })
-            : session::SwapManager::kNone;
-    if (victim == session::SwapManager::kNone) {
-      ++lifecycle_.admissions_rejected;
-      return kNoTenant;
-    }
-    const TenantId vid = static_cast<TenantId>(victim);
-    swap_out_tenant(vid, tenants_.at(vid));
-    evicted_for_room = true;
-  }
-  if (evicted_for_room) ++lifecycle_.admissions_queued;
-
-  // Band allocation: smallest free band first (deterministic), else extend.
-  std::int64_t band;
-  if (!free_bands_.empty()) {
-    band = *free_bands_.begin();
-    free_bands_.erase(free_bands_.begin());
-  } else {
-    if (next_band_ >= kBandSpaceWords / options_.band_words) {
-      throw Error("server address space exhausted: at most " +
-                  std::to_string(kBandSpaceWords / options_.band_words) +
-                  " co-open sessions at band_words=" +
-                  std::to_string(options_.band_words) +
-                  " (close sessions or shrink band_words)");
-    }
-    band = next_band_++;
-  }
-  plan->options.engine.address_base = band * options_.band_words;
-
-  Tenant t;
-  t.name = std::move(name);
-  t.band = band;
-  t.plan = std::move(plan);
-  t.stream = std::make_unique<Stream>(t.plan, *cache_);
-  CCS_CHECK(t.stream->layout_span().words == layout_words,
-            "admission pricing disagrees with the built engine's layout");
-
-  const TenantId id = next_id_++;
-  tenants_.emplace(id, std::move(t));
-  ++lifecycle_.sessions_opened;
-  lifecycle_.on_resident(layout_words);
-  swap_.admit(id);
-  return id;
+  const SessionHost::Session* s =
+      host_.admit(std::move(name), g, p, std::move(options), m,
+                  [this](SessionHost::Session&) -> iomodel::CacheSim& { return *cache_; });
+  return s != nullptr ? s->id : kNoTenant;
 }
 
 TenantId Server::admit(std::string name, const Planner& planner, const Plan& plan,
@@ -223,169 +124,59 @@ TenantId Server::admit(std::string name, const Planner& planner, const Plan& pla
   return admit(std::move(name), planner.graph(), plan.partition, std::move(options));
 }
 
-void Server::throw_unknown_tenant(TenantId id) const {
-  std::string msg = "unknown tenant id " + std::to_string(id) + "; live tenants:";
-  if (tenants_.empty()) {
-    msg += " (none)";
-  } else {
-    bool first = true;
-    for (const auto& [tid, t] : tenants_) {
-      msg += (first ? " " : ", ");
-      msg += std::to_string(tid) + " '" + t.name + "'";
-      first = false;
-    }
-  }
-  throw Error(msg);
-}
+void Server::close(TenantId id) { host_.close(host_.session(id)); }
 
-Server::Tenant& Server::tenant(TenantId id) {
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) throw_unknown_tenant(id);
-  return it->second;
-}
+Stream& Server::stream(TenantId id) { return *host_.resident(id).stream; }
 
-const Server::Tenant& Server::tenant(TenantId id) const {
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) throw_unknown_tenant(id);
-  return it->second;
-}
-
-Stream& Server::stream(TenantId id) {
-  Tenant& t = tenant(id);
-  if (t.stream == nullptr) rehydrate(id, t);
-  return *t.stream;
-}
-
-const std::string& Server::tenant_name(TenantId id) const { return tenant(id).name; }
+const std::string& Server::tenant_name(TenantId id) const { return host_.session(id).name; }
 
 session::SessionState Server::state_of(TenantId id) const {
-  const Tenant& t = tenant(id);
-  if (t.stream == nullptr) return session::SessionState::kSwapped;
-  return t.idle ? session::SessionState::kIdle : session::SessionState::kLive;
+  return SessionHost::state_of(host_.session(id));
 }
 
-bool Server::swapped(TenantId id) const { return tenant(id).stream == nullptr; }
+bool Server::swapped(TenantId id) const { return host_.session(id).stream == nullptr; }
 
-void Server::swap_out_tenant(TenantId id, Tenant& t) {
-  CCS_EXPECTS(t.stream != nullptr, "tenant is already swapped out");
-  const StreamState state = t.stream->save_state();
-  // Cache the report summary so report() never needs to rehydrate.
-  t.totals = state.totals;
-  t.steps = state.steps;
-  t.outputs = t.stream->outputs_produced();
-  session::SessionSnapshot snapshot;
-  snapshot.engine = state.engine;
-  snapshot.totals = state.totals;
-  snapshot.steps = state.steps;
-  session::SwapImage image = session::SwapImage::pack(snapshot);
-  // The packed image is the only copy of the session once the host objects
-  // are freed; audit builds prove the codec round-trips this very snapshot
-  // before the originals are destroyed.
-  CCS_AUDIT(image.unpack() == snapshot,
-            "swap image does not round-trip the session snapshot");
-  swap_.swap_out(id, std::move(image));
-  t.stream.reset();  // frees the engine's channels and counters; the plan stays
-  t.idle = true;     // swapped sessions are idle by construction
-  lifecycle_.on_nonresident(t.plan->layout->footprint_words());
-  ++lifecycle_.swapped_sessions;
-  ++lifecycle_.swap_outs;
-}
+void Server::swap_out(TenantId id) { host_.swap_out(id); }
 
-void Server::rehydrate(TenantId id, Tenant& t) {
-  CCS_EXPECTS(t.stream == nullptr, "tenant is not swapped out");
-  const session::SessionSnapshot snapshot = swap_.swap_in(id).unpack();
-  // Rebuilding the Stream issues no cache traffic, and restore_state only
-  // rewrites host-side counters -- the simulated cache is untouched, so
-  // the rehydrated session behaves bit-identically to one never swapped.
-  t.stream = std::make_unique<Stream>(t.plan, *cache_);
-  StreamState state;
-  state.engine = snapshot.engine;
-  state.totals = snapshot.totals;
-  state.steps = snapshot.steps;
-  t.stream->restore_state(state);
-  lifecycle_.on_resident(t.plan->layout->footprint_words());
-  --lifecycle_.swapped_sessions;
-  ++lifecycle_.swap_ins;
-}
-
-void Server::swap_out(TenantId id) {
-  CCS_EXPECTS(options_.swap, "swap_out requires ServerOptions::swap");
-  Tenant& t = tenant(id);
-  if (t.stream == nullptr) throw Error("tenant " + std::to_string(id) + " is already swapped out");
-  if (!t.idle) {
-    throw Error("tenant " + std::to_string(id) +
-                " is not idle; only idle sessions can be swapped out");
-  }
-  swap_out_tenant(id, t);
-}
-
-std::int64_t Server::swap_out_idle() {
-  CCS_EXPECTS(options_.swap, "swap_out_idle requires ServerOptions::swap");
-  std::int64_t evicted = 0;
-  for (auto& [id, t] : tenants_) {
-    if (t.stream != nullptr && t.idle) {
-      swap_out_tenant(id, t);
-      ++evicted;
-    }
-  }
-  return evicted;
-}
-
-void Server::close(TenantId id) {
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) throw_unknown_tenant(id);
-  Tenant& t = it->second;
-  if (t.stream != nullptr) {
-    retired_ += t.stream->stats();
-    lifecycle_.on_nonresident(t.plan->layout->footprint_words());
-  } else {
-    // Swapped: the cached summary holds the totals; drop the image.
-    retired_ += t.totals;
-    --lifecycle_.swapped_sessions;
-  }
-  swap_.erase(id);
-  free_bands_.insert(t.band);
-  tenants_.erase(it);
-  ++lifecycle_.sessions_closed;
-}
+std::int64_t Server::swap_out_idle() { return host_.swap_out_idle(); }
 
 std::int64_t Server::push(TenantId id, std::int64_t items) {
-  Tenant& t = tenant(id);
-  if (t.stream == nullptr) rehydrate(id, t);
+  SessionHost::Session& t = host_.resident(id);
   const std::int64_t accepted = t.stream->push(items);
   if (accepted > 0) {
     t.idle = false;  // new arrivals may unblock the session
-    swap_.touch(id);
+    host_.touch(id);
   }
   return accepted;
 }
 
 TenantId Server::step() {
-  // Offer every not-known-idle tenant; a pick that turns out blocked is
-  // marked idle and the offer repeats, so one step() call either progresses
-  // some tenant or proves the whole server idle. Swapped tenants are idle
-  // by construction and never appear.
+  // Offer every not-known-idle resident tenant; a pick that turns out
+  // blocked is marked idle and the offer repeats, so one step() call either
+  // progresses some tenant or proves the whole server idle. Swapped tenants
+  // are idle by construction, so walking the resident set (in id order, like
+  // the table) leaves the offers unchanged.
+  const std::map<TenantId, SessionHost::Session*>& resident = host_.resident_set();
   std::vector<TenantStatus> runnable;
-  runnable.reserve(tenants_.size());
+  runnable.reserve(resident.size());
   for (;;) {
     runnable.clear();
-    for (const auto& [id, t] : tenants_) {
-      if (t.idle || t.stream == nullptr) continue;
+    for (const auto& [id, t] : resident) {
+      if (t->idle) continue;
       TenantStatus s;
       s.id = id;
-      s.pending_inputs = t.stream->pending_inputs();
-      s.outputs = t.stream->outputs_produced();
-      s.steps = t.stream->steps();
-      s.last_miss_rate = t.last_miss_rate;
+      s.pending_inputs = t->stream->pending_inputs();
+      s.outputs = t->stream->outputs_produced();
+      s.steps = t->stream->steps();
+      s.last_miss_rate = t->last_miss_rate;
       runnable.push_back(s);
     }
     if (runnable.empty()) return kNoTenant;
 
     const TenantId id = policy_->pick(runnable);
-    const auto it = tenants_.find(id);
-    CCS_CHECK(it != tenants_.end() && it->second.stream != nullptr,
-              "tenant policy picked an invalid id");
-    Tenant& t = it->second;
+    const auto it = resident.find(id);
+    CCS_CHECK(it != resident.end(), "tenant policy picked an invalid id");
+    SessionHost::Session& t = *it->second;
     const StepResult r = t.stream->step();
     if (!r.progressed()) {
       t.idle = true;
@@ -394,21 +185,22 @@ TenantId Server::step() {
     t.last_miss_rate = r.run.firings > 0 ? static_cast<double>(r.run.cache.misses) /
                                                static_cast<double>(r.run.firings)
                                          : 0.0;
-    swap_.touch(id);
+    host_.touch(id);
     ++steps_;
     return id;
   }
 }
 
 std::int64_t Server::run_until_idle() {
+  CCS_AUDIT_BLOCK(audit_invariants(););
   std::int64_t executed = 0;
   while (step() != kNoTenant) ++executed;
   return executed;
 }
 
 void Server::drain_all() {
-  for (auto& [id, t] : tenants_) {
-    if (t.stream == nullptr) rehydrate(id, t);
+  for (auto& [id, t] : host_.sessions()) {
+    if (t.stream == nullptr) host_.rehydrate(t);
     t.stream->drain();
     t.idle = true;
   }
@@ -417,30 +209,7 @@ void Server::drain_all() {
 ServerReport Server::report() const {
   ServerReport report;
   report.steps = steps_;
-  report.retired = retired_;
-  report.retired_sessions = lifecycle_.sessions_closed;
-  report.aggregate = retired_;
-  report.lifecycle = lifecycle_;
-  report.swap_stored_bytes = swap_.stored_bytes();
-  report.swap_peak_stored_bytes = swap_.peak_stored_bytes();
-  for (const auto& [id, t] : tenants_) {
-    TenantReport row;
-    row.id = id;
-    row.name = t.name;
-    if (t.stream != nullptr) {
-      row.state = t.idle ? session::SessionState::kIdle : session::SessionState::kLive;
-      row.totals = t.stream->stats();
-      row.steps = t.stream->steps();
-      row.outputs = t.stream->outputs_produced();
-    } else {
-      row.state = session::SessionState::kSwapped;
-      row.totals = t.totals;
-      row.steps = t.steps;
-      row.outputs = t.outputs;
-    }
-    report.aggregate += row.totals;
-    report.tenants.push_back(std::move(row));
-  }
+  host_.fill_report(report, [](const SessionHost::Session&, TenantReport&) {});
   const iomodel::CacheStats& now = cache_->stats();
   report.shared_cache.accesses = now.accesses - baseline_.accesses;
   report.shared_cache.hits = now.hits - baseline_.hits;

@@ -13,26 +13,14 @@
 // tenant's misses rising above its solo baseline, which is the paper's
 // cache-contention story at serving scale.
 //
-// Session lifecycle (src/session/): sessions open (admit), retire (close),
-// and -- when the swap tier is enabled -- idle out of residency entirely:
-//
-//   * admit() asks the session::AdmissionPolicy (ServerOptions::admission)
-//     whether another resident session fits the budget. A refusal evicts
-//     the least-recently-active *idle* session to the swap tier and retries
-//     (counted admissions_queued); with no victim available the admission
-//     is rejected (admissions_rejected) and admit() returns kNoTenant.
-//   * A swapped session is a compact session::SwapImage plus its
-//     StreamPlan (built once at admission); it keeps its tenant id, its
-//     address band, and its slot in the multiplexing order (as an idle
-//     tenant), so a swap-on run's per-tenant counters are bit-identical to
-//     a swap-off run's -- rehydration (transparent, on the next push)
-//     instantiates the plan without a single cache access.
-//   * close() retires a session forever: its totals fold into the report's
-//     `retired` aggregate, its address band returns to the free list, and
-//     its id is rejected from then on (with an error naming the live
-//     tenants, like Cluster::migrate). Memory is therefore O(live), not
-//     O(ever-admitted) -- the property bench/micro_churn.cc measures at
-//     1,000,000 logical sessions.
+// Sessions live in a core::SessionHost, the lifecycle Cluster shares:
+// admission under a session::AdmissionPolicy (evicting the coldest idle
+// session to the swap tier, or returning kNoTenant), address bands, the
+// swap tier, and close(). A swapped session keeps its id, band and place in
+// the multiplexing order (as an idle tenant), so a swap-on run's per-tenant
+// counters are bit-identical to a swap-off run's; memory is O(live), not
+// O(ever-admitted) (bench/micro_churn.cc, 1,000,000 logical sessions). A
+// step offers only resident sessions and swap_out_idle() walks only them.
 //
 //   core::ServerOptions sopts;
 //   sopts.cache = {64 * 1024, 8};
@@ -55,12 +43,11 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "core/session_host.h"
 #include "core/stream.h"
 #include "iomodel/cache.h"
 #include "iomodel/types.h"
@@ -68,16 +55,9 @@
 #include "runtime/run_result.h"
 #include "session/admission.h"
 #include "session/lifecycle.h"
-#include "session/swap.h"
 #include "util/registry.h"
 
 namespace ccs::core {
-
-/// Tenant id within one Server: assigned monotonically at admission and
-/// never reused, so a closed session's id stays invalid forever.
-using TenantId = std::int32_t;
-
-inline constexpr TenantId kNoTenant = -1;
 
 /// What a tenant policy may consult about one tenant when picking who runs
 /// next. Only runnable tenants are offered.
@@ -213,9 +193,7 @@ class Server {
   void close(TenantId id);
 
   /// Open sessions right now (live + idle + swapped).
-  std::int32_t tenant_count() const noexcept {
-    return static_cast<std::int32_t>(tenants_.size());
-  }
+  std::int32_t tenant_count() const noexcept { return host_.size(); }
 
   /// The tenant's session (for pushes, polls, or direct stepping).
   /// Rehydrates a swapped session first -- taking a Stream reference means
@@ -259,55 +237,24 @@ class Server {
   std::int64_t swap_out_idle();
 
   /// Residency + admission counters (live view of the report's lifecycle).
-  const session::LifecycleCounters& lifecycle() const noexcept { return lifecycle_; }
+  const session::LifecycleCounters& lifecycle() const noexcept { return host_.lifecycle(); }
 
   /// Per-tenant totals, their sum, and the shared cache's own counters.
   ServerReport report() const;
 
+  /// Recounts the session bookkeeping (SessionHost::audit_invariants) and
+  /// throws ContractViolation on the first mismatch. Audit builds
+  /// (-DCCS_AUDIT=ON) run it at run_until_idle entry; tests may call it in
+  /// any build.
+  void audit_invariants() const { host_.audit_invariants(); }
+
   iomodel::CacheSim& cache() noexcept { return *cache_; }
 
  private:
-  struct Tenant {
-    std::string name;
-    std::unique_ptr<Stream> stream;  ///< Null while swapped out.
-    bool idle = false;           ///< Known-blocked until new arrivals.
-    double last_miss_rate = 0.0;
-    std::int64_t band = 0;          ///< Address-band index (base = band * band_words).
-
-    /// Built once at admission (engine.address_base baked in): a Stream is
-    /// this plan plus the mutable state in the swap image, so keeping it
-    /// makes the swap tier transparent and rehydration cheap.
-    std::shared_ptr<const StreamPlan> plan;
-
-    // Report summary cached at swap-out so report() never rehydrates.
-    runtime::RunResult totals;
-    std::int64_t steps = 0;
-    std::int64_t outputs = 0;
-  };
-
-  Tenant& tenant(TenantId id);
-  const Tenant& tenant(TenantId id) const;
-  [[noreturn]] void throw_unknown_tenant(TenantId id) const;
-
-  /// Serializes a resident tenant into the swap tier and frees its Stream.
-  void swap_out_tenant(TenantId id, Tenant& t);
-
-  /// Rebuilds a swapped tenant's Stream from its image. No cache traffic.
-  void rehydrate(TenantId id, Tenant& t);
-
-  session::AdmissionLoad current_load() const;
-
   ServerOptions options_;
   std::unique_ptr<iomodel::CacheSim> cache_;
   std::unique_ptr<TenantPolicy> policy_;
-  std::unique_ptr<session::AdmissionPolicy> admission_;
-  std::map<TenantId, Tenant> tenants_;  ///< Open sessions only, O(live+swapped).
-  TenantId next_id_ = 0;                ///< Ids are never reused.
-  std::set<std::int64_t> free_bands_;   ///< Bands returned by close().
-  std::int64_t next_band_ = 0;
-  session::SwapManager swap_;
-  session::LifecycleCounters lifecycle_;
-  runtime::RunResult retired_;          ///< Folded totals of closed sessions.
+  SessionHost host_;  ///< After cache_: its streams run on the cache.
   iomodel::CacheStats baseline_;  ///< Shared-cache stats at construction.
   std::int64_t steps_ = 0;
 };

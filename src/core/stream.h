@@ -40,6 +40,7 @@
 #include "runtime/run_result.h"
 #include "schedule/online.h"
 #include "sdf/graph.h"
+#include "session/swap.h"
 
 namespace ccs::core {
 
@@ -93,13 +94,9 @@ struct StreamPlan {
 /// OnlinePolicy keeps no cross-step state (it replans from the live
 /// EngineView on every call), so a Stream rebuilt from the same StreamPlan
 /// makes identical decisions and nothing of the policy needs saving — this
-/// struct plus the plan IS the session.
-/// session::SwapImage packs it into a compact byte buffer.
-struct StreamState {
-  runtime::EngineState engine;
-  runtime::RunResult totals;  ///< stats() accumulator.
-  std::int64_t steps = 0;     ///< Progressing step() calls.
-};
+/// struct plus the plan IS the session. It is the swap codec's own
+/// snapshot type, so session::SwapImage packs it as is.
+using StreamState = session::SessionSnapshot;
 
 /// What one step() did.
 struct StepResult {

@@ -1,6 +1,6 @@
 #include "iomodel/hierarchy.h"
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::iomodel {
 

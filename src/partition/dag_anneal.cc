@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "sdf/gain.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::partition {
 

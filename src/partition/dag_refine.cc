@@ -4,7 +4,7 @@
 #include <set>
 
 #include "sdf/gain.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::partition {
 

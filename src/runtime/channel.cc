@@ -1,6 +1,6 @@
 #include "runtime/channel.h"
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::runtime {

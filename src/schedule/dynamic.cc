@@ -5,7 +5,7 @@
 
 #include "schedule/online.h"
 #include "schedule/token_sim.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::schedule {

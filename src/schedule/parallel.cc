@@ -6,7 +6,7 @@
 #include "iomodel/cache.h"
 #include "iomodel/layout.h"
 #include "sdf/topology.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/stats.h"
 

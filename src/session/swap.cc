@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "latency/histogram.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::session {

@@ -31,8 +31,8 @@
 namespace ccs::session {
 
 /// The complete mutable state of one streaming session at a quiescent
-/// point (mirrors core::StreamState; defined here so the codec does not
-/// depend on the core layer above it).
+/// point. core::StreamState is this type (defined here so the codec does
+/// not depend on the core layer above it).
 struct SessionSnapshot {
   runtime::EngineState engine;
   runtime::RunResult totals;  ///< Session-lifetime accumulated counters.

@@ -3,7 +3,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs {

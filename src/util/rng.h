@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs {
 

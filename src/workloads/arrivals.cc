@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/rng.h"
 
 namespace ccs::workloads {

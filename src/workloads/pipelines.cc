@@ -1,6 +1,6 @@
 #include "workloads/pipelines.h"
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::workloads {
 

@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/rational.h"
 
 namespace ccs::workloads {

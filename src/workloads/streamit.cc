@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::workloads {
 

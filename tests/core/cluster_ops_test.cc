@@ -1,22 +1,28 @@
-// Seeded operation sequences against core::Cluster's scheduling bookkeeping.
+// Seeded operation sequences against the serving front-ends' bookkeeping.
 //
-// The cluster keeps per-worker runnable counts, Tenant* slot lists, a
-// resident set in id order, a name index, and one footprint-estimator
-// entry per open session, so that a serving step costs O(resident work)
-// rather than O(open sessions). This file drives random sequences of every
-// public operation -- admit, push, step_round, run_until_idle/run_threads,
-// swap_out, swap_out_idle, close, migrate, rebalance, drain_all -- and
+// core::SessionHost keeps a resident set in id order, a name index, an
+// address-band free list and the lifecycle counters; core::Cluster adds
+// per-worker runnable counts, Session* slot lists and one
+// footprint-estimator entry per open session, so that a serving step costs
+// O(resident work) rather than O(open sessions). This file drives random
+// sequences of every public operation of both front-ends -- admit, push,
+// step/step_round, run_until_idle/run_threads, swap_out, swap_out_idle,
+// close, migrate, rebalance, drain_all -- and
 //
-//  * recounts that bookkeeping from the tenant table after every operation
-//    (Cluster::audit_invariants);
+//  * recounts that bookkeeping from the session table after every
+//    operation (Server/Cluster::audit_invariants);
 //  * replays each sequence with the swap tier on and off, and in thread
 //    mode, under round-robin, affinity and never-fire adaptive placement,
 //    and checks swap-on == swap-off (report JSON minus the lifecycle line;
 //    without rebalance for the cache-aware policies, which by design leave
 //    swapped sessions pinned) and threads == virtual time (everything but
 //    rounds and the LLC split);
-//  * opens and closes 10k sessions and checks the bookkeeping, estimator
-//    included, holds only the open ones.
+//  * replays each sequence on a Server under both tenant policies and checks
+//    repeat-run identity and swap-on == swap-off (ServerReport JSON minus
+//    the lifecycle line), plus a bounded-live run that admits through the
+//    eviction loop;
+//  * opens and closes 10k sessions on each front-end and checks the
+//    bookkeeping, estimator included, holds only the open ones.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +31,7 @@
 #include <vector>
 
 #include "core/cluster.h"
+#include "core/server.h"
 #include "partition/pipeline_dp.h"
 #include "placement/footprint.h"
 #include "util/rng.h"
@@ -179,7 +186,8 @@ ClusterReport replay(const std::vector<Op>& ops, const std::string& placement, M
   return cluster.report();
 }
 
-std::string json_without_lifecycle(const ClusterReport& r) {
+template <class Report>
+std::string json_without_lifecycle(const Report& r) {
   std::ostringstream full;
   r.write_json(full);
   std::istringstream lines(full.str());
@@ -280,6 +288,155 @@ TEST(ClusterOps, ClosedSessionsLeaveNoBookkeepingBehind) {
   for (const TenantId id : open) cluster.close(id);
   EXPECT_EQ(cluster.tenant_count(), 0);
   EXPECT_NO_THROW(cluster.audit_invariants());
+}
+
+ServerOptions server_options(const std::string& tenant_policy, bool swap) {
+  ServerOptions o;
+  o.cache = {1024, 8};
+  o.tenant_policy = tenant_policy;
+  o.band_words = std::int64_t{1} << 20;
+  o.swap = swap;
+  return o;
+}
+
+/// Replays `ops` on a fresh server (migrate and rebalance have no Server
+/// twin and are skipped), auditing the bookkeeping after every operation;
+/// ends with drain_all so every session is resident again.
+ServerReport replay_server(const std::vector<Op>& ops, const ServerOptions& options,
+                           const std::string& label) {
+  Server server(options);
+  std::vector<TenantId> open;  // ascending: ids are monotonic
+  std::int64_t admitted = 0;
+  const auto pick = [&](std::int64_t r) {
+    return open[static_cast<std::size_t>(r) % open.size()];
+  };
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    switch (op.kind) {
+      case OpKind::kAdmit: {
+        if (open.size() >= kMaxOpen) break;
+        const Shape& s = shapes()[static_cast<std::size_t>(op.a) % shapes().size()];
+        const TenantId id = server.admit("s" + std::to_string(admitted++), s.graph,
+                                         s.partition, {}, kShare);
+        // Refused only under a bounded admission policy with no idle victim.
+        if (id != kNoTenant) open.push_back(id);
+        break;
+      }
+      case OpKind::kPush:
+        if (!open.empty()) server.push(pick(op.a), op.b);
+        break;
+      case OpKind::kStep:
+        server.step();
+        break;
+      case OpKind::kRun:
+        server.run_until_idle();
+        break;
+      case OpKind::kSwapOut:
+        if (options.swap && !open.empty() &&
+            server.state_of(pick(op.a)) == session::SessionState::kIdle) {
+          server.swap_out(pick(op.a));
+        }
+        break;
+      case OpKind::kSwapOutIdle:
+        if (options.swap) server.swap_out_idle();
+        break;
+      case OpKind::kClose:
+        if (!open.empty()) {
+          const std::size_t slot = static_cast<std::size_t>(op.a) % open.size();
+          server.close(open[slot]);
+          open.erase(open.begin() + static_cast<std::ptrdiff_t>(slot));
+        }
+        break;
+      case OpKind::kMigrate:
+      case OpKind::kRebalance:
+        break;
+      case OpKind::kDrainAll:
+        server.drain_all();
+        break;
+    }
+    EXPECT_NO_THROW(server.audit_invariants()) << label << " after op " << i;
+  }
+  server.drain_all();
+  EXPECT_NO_THROW(server.audit_invariants()) << label << " after the final drain";
+  return server.report();
+}
+
+std::string full_json(const ServerReport& r) {
+  std::ostringstream out;
+  r.write_json(out);
+  return out.str();
+}
+
+class ServerOpSequence : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ServerOpSequence, BookkeepingAuditsCleanAndSwapIsInvisible) {
+  const std::string policy = GetParam();
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::vector<Op> ops = generate(seed * 7919 + 3, 160);
+    const std::string label = policy + " seed " + std::to_string(seed);
+    const ServerReport off = replay_server(ops, server_options(policy, false), label + " swap-off");
+    const ServerReport again = replay_server(ops, server_options(policy, false), label + " again");
+    EXPECT_EQ(full_json(off), full_json(again)) << label;  // repeat-run identity
+    EXPECT_GT(off.aggregate.firings, 0) << label;          // the sequences do real work
+    EXPECT_EQ(off.aggregate.cache, off.shared_cache) << label;
+
+    // Swapped sessions are idle and never offered, keep their place in the
+    // multiplexing order and their miss rate, and rehydrate without cache
+    // traffic: nothing but the lifecycle line may change.
+    const ServerReport on = replay_server(ops, server_options(policy, true), label + " swap-on");
+    EXPECT_EQ(json_without_lifecycle(off), json_without_lifecycle(on)) << label;
+    EXPECT_GT(on.lifecycle.swap_ins, 0) << label;  // real round trips happened
+
+    // A resident budget below the open window admits through the eviction
+    // loop (or refuses); the bookkeeping must audit clean throughout. The
+    // budget gates admission only: pushes and drains rehydrate freely.
+    ServerOptions bounded = server_options(policy, true);
+    bounded.admission = "bounded-live";
+    bounded.budget.max_live_sessions = 4;
+    const ServerReport b = replay_server(ops, bounded, label + " bounded");
+    EXPECT_GT(b.lifecycle.admissions_queued, 0) << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TenantPolicies, ServerOpSequence,
+                         ::testing::Values("round-robin", "miss-aware"));
+
+TEST(ServerOps, ClosedSessionsLeaveNoBookkeepingBehind) {
+  // 10k sessions through a window of at most 4 open under a 2-resident
+  // budget: the resident set, the name index, the swap tier and the band
+  // free list must hold exactly the open sessions, however many were ever
+  // admitted.
+  ServerOptions o = server_options("miss-aware", true);
+  o.admission = "bounded-live";
+  o.budget.max_live_sessions = 2;
+  Server server(o);
+  const Shape& s = shapes().front();
+  std::vector<TenantId> open;
+  for (std::int64_t i = 0; i < 10000; ++i) {
+    open.push_back(server.admit("s" + std::to_string(i), s.graph, s.partition, {}, kShare));
+    ASSERT_NE(open.back(), kNoTenant) << "session " << i;
+    server.push(open.back(), 8);
+    server.run_until_idle();
+    if (i % 3 == 0) server.swap_out_idle();
+    if (open.size() > 4) {
+      server.close(open.front());
+      open.erase(open.begin());
+    }
+    if (i % 1000 == 0) {
+      ASSERT_NO_THROW(server.audit_invariants()) << "after session " << i;
+    }
+  }
+  EXPECT_EQ(server.tenant_count(), 4);
+  EXPECT_EQ(server.lifecycle().sessions_opened, 10000);
+  EXPECT_LE(server.lifecycle().peak_live, 2);
+  EXPECT_NO_THROW(server.audit_invariants());
+  for (const TenantId id : open) server.close(id);
+  EXPECT_EQ(server.tenant_count(), 0);
+  EXPECT_EQ(server.lifecycle().live_sessions, 0);
+  EXPECT_EQ(server.lifecycle().swapped_sessions, 0);
+  EXPECT_EQ(server.lifecycle().resident_words, 0);
+  EXPECT_EQ(server.report().swap_stored_bytes, 0);
+  EXPECT_NO_THROW(server.audit_invariants());
 }
 
 TEST(FootprintEstimator, RemovedSessionsAreForgotten) {

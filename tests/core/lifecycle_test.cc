@@ -11,7 +11,7 @@
 #include "core/server.h"
 #include "partition/pipeline_dp.h"
 #include "session/lifecycle.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "workloads/pipelines.h"
 

@@ -26,7 +26,7 @@
 #include "iomodel/hierarchy.h"
 #include "iomodel/sharded_cache.h"
 #include "iomodel/trace.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 

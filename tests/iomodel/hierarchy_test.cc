@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::iomodel {
 namespace {

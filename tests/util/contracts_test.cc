@@ -1,4 +1,4 @@
-#include "util/contracts.h"
+#include "util/contract.h"
 
 #include <gtest/gtest.h>
 

@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs {
 namespace {
